@@ -306,14 +306,14 @@ def cmd_simulate(args) -> int:
     if args.trace:
         export_trace(result, args.trace)
         print(f"trace written to {args.trace}")
-    rows = [(key, value) for key, value in result.summary().items()]
+    summary = result.summary()
+    rows = [(key, value) for key, value in summary.items()]
     rows.append(("completed", int(result.completed)))
     if args.loss == 0 and config.faults is None:
         rows.append(
             (
                 "improvement (1-tier/2-tier lookup)",
-                result.mean_index_lookup_bytes("one-tier")
-                / max(1.0, result.mean_index_lookup_bytes("two-tier")),
+                summary["one_tier_lookup"] / max(1.0, summary["two_tier_lookup"]),
             )
         )
     print_table("Simulation summary", ("metric", "value"), rows)

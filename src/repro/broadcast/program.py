@@ -19,6 +19,7 @@ actual air layout, while tuning-time accounting can interrogate either.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -93,6 +94,23 @@ class BroadcastCycle:
     def offset_list_air_bytes(self) -> int:
         """L_O: on-air (packet aligned) bytes of the second tier."""
         return self.offset_list.packet_count * self.offset_list.size_model.packet_bytes
+
+    @functools.cached_property
+    def air_order(self) -> Tuple[Tuple[int, int, int], ...]:
+        """``(doc_id, offset, air_bytes)`` of every document in air order.
+
+        Sorted by start offset; documents starting together on different
+        data channels break toward the lower channel, then the lower doc
+        id.  A single-tuner client plans its data phase by walking this
+        order, so it is computed once per cycle and shared by every
+        client listening to it.
+        """
+        doc_channels = getattr(self, "doc_channels", None) or {}
+        offsets, air = self.doc_offsets, self.doc_air_bytes
+        ordered = sorted(
+            self.doc_ids, key=lambda d: (offsets[d], doc_channels.get(d, 0), d)
+        )
+        return tuple((d, offsets[d], air[d]) for d in ordered)
 
     def packed(self, scheme: IndexScheme) -> PackedIndex:
         return (

@@ -9,7 +9,12 @@ packets and document packets.  Three protocols are implemented:
   result set is complete, because document pointers change each cycle;
 * :mod:`repro.client.twotier` -- the improved protocol (Section 3.4):
   first-tier search **once** to record result document IDs, then only the
-  small second-tier offset list of each following cycle (Equation 1);
+  small second-tier offset list of each following cycle (Equation 1).
+  The one :class:`~repro.client.twotier.TwoTierClient` also covers the
+  extensions: a single-tuner tune plan over K data channels and the
+  loss ladder of an error-prone channel;
+  :class:`~repro.client.dualchannel.DualChannelTwoTierClient` is a thin
+  subclass for mid-cycle admission over a repeating index channel;
 * :mod:`repro.client.naive` -- no index at all: exhaustively download the
   data segment and filter locally (the Section 2.3 motivation).
 
@@ -21,9 +26,7 @@ from repro.client.metrics import ClientMetrics
 from repro.client.protocol import AccessProtocol, FirstTierRead, OffsetRead
 from repro.client.onetier import OneTierClient
 from repro.client.twotier import TwoTierClient
-from repro.client.lossy import LossyTwoTierClient
 from repro.client.dualchannel import DualChannelTwoTierClient
-from repro.client.multichannel import MultiChannelTwoTierClient
 from repro.client.naive import NaiveClient
 
 __all__ = [
@@ -34,7 +37,5 @@ __all__ = [
     "OneTierClient",
     "TwoTierClient",
     "NaiveClient",
-    "LossyTwoTierClient",
     "DualChannelTwoTierClient",
-    "MultiChannelTwoTierClient",
 ]

@@ -16,7 +16,8 @@ paper):
   of one full program (``L_I + L_O`` air bytes) of waiting for access
   time, and the usual selective-read bytes for tuning;
 * within the arrival cycle, only documents whose offset lies after the
-  position where the index read completes are catchable;
+  position where the index read completes are catchable -- the two-tier
+  tune plan started with the tuner busy until that position;
 * subsequent cycles behave exactly like the single-channel two-tier
   protocol.
 
@@ -27,26 +28,17 @@ costs a second channel's bandwidth; the bench states that caveat).
 from __future__ import annotations
 
 from repro import obs
-from repro.broadcast.program import BroadcastCycle, IndexScheme
-from repro.client.protocol import AccessProtocol, LookupFn, default_lookup
-from repro.xpath.ast import XPathQuery
+from repro.broadcast.program import BroadcastCycle
+from repro.client.twotier import TwoTierClient
 
 
-class DualChannelTwoTierClient(AccessProtocol):
+class DualChannelTwoTierClient(TwoTierClient):
     """Two-tier protocol over separate index and data channels."""
 
-    scheme = IndexScheme.TWO_TIER
     protocol_name = "two-tier-dual"
-
-    def __init__(
-        self,
-        query: XPathQuery,
-        arrival_time: int,
-        lookup_fn: LookupFn = default_lookup,
-    ) -> None:
-        super().__init__(query, arrival_time, lookup_fn)
-        #: diagnostics: did the arrival cycle contribute documents?
-        self.caught_mid_cycle = 0
+    multichannel_protocol_name = protocol_name
+    #: diagnostics: did the arrival cycle contribute documents?
+    caught_mid_cycle = 0
 
     def can_use(self, cycle: BroadcastCycle) -> bool:
         """Any cycle still on air at arrival is usable (index replica)."""
@@ -54,79 +46,34 @@ class DualChannelTwoTierClient(AccessProtocol):
 
     def _consume(self, cycle: BroadcastCycle, probe_bytes: int) -> None:
         arrival = self.metrics.arrival_time
-        mid_cycle = cycle.start_time < arrival
-
-        if mid_cycle and self.expected_doc_ids is None:
-            # The on-air cycle's index was built BEFORE this client was
-            # admitted, so its result list may be incomplete (it only
-            # covers documents other queries requested).  Treat it as
-            # *provisional*: catch what it names, but defer the
-            # authoritative result-ID recording to the next cycle's
-            # first tier, which the server built with this query pending.
-            with obs.span("client.first_tier_read"):
-                lookup = self._lookup(cycle)
-                index_bytes = cycle.packed_first_tier.tuning_bytes_for_nodes(
-                    lookup.visited_node_ids
-                )
-            offset_bytes = cycle.offset_list_air_bytes
-            index_program = cycle.packed_first_tier.total_bytes + offset_bytes
-            ready_offset = (arrival - cycle.start_time) + index_program
-            with obs.span("client.doc_download"):
-                doc_bytes = self._download_after(
-                    cycle, set(lookup.doc_ids), ready_offset
-                )
-            if doc_bytes:
-                self.caught_mid_cycle += 1
-            self.metrics.merge_cycle(
-                probe=probe_bytes,
-                index=index_bytes,
-                offsets=offset_bytes,
-                docs=doc_bytes,
-            )
+        if cycle.start_time >= arrival or self.expected_doc_ids is not None:
+            super()._consume(cycle, probe_bytes)
             return
-
-        index_bytes = 0
-        if self.expected_doc_ids is None:
-            with obs.span("client.first_tier_read"):
-                lookup = self._lookup(cycle)
-                index_bytes = cycle.packed_first_tier.tuning_bytes_for_nodes(
-                    lookup.visited_node_ids
-                )
-                self.expected_doc_ids = frozenset(lookup.doc_ids) | frozenset(
-                    self.received_doc_ids
-                )
+        # The on-air cycle's index was built BEFORE this client was
+        # admitted, so its result list may be incomplete (it only covers
+        # documents other queries requested).  Treat it as *provisional*:
+        # catch what it names, but defer the authoritative result-ID
+        # recording to the next cycle's first tier, which the server
+        # built with this query pending.
+        with obs.span("client.first_tier_read"):
+            lookup = self._lookup(cycle)
+            index_bytes = cycle.packed_first_tier.tuning_bytes_for_nodes(
+                lookup.visited_node_ids
+            )
         offset_bytes = cycle.offset_list_air_bytes
+        index_program = cycle.packed_first_tier.total_bytes + offset_bytes
+        ready_offset = (arrival - cycle.start_time) + index_program
         with obs.span("client.doc_download"):
-            doc_bytes = self._download_documents(cycle, set(self.expected_doc_ids))
+            # Documents that aired before the index read completed are
+            # already gone by on the data channel.
+            doc_bytes, _gone = self._download_planned(
+                cycle, frozenset(lookup.doc_ids), ready_offset
+            )
+        if doc_bytes:
+            self.caught_mid_cycle += 1
         self.metrics.merge_cycle(
             probe=probe_bytes,
             index=index_bytes,
             offsets=offset_bytes,
             docs=doc_bytes,
         )
-
-    def _download_after(
-        self, cycle: BroadcastCycle, wanted: set, ready_offset: int
-    ) -> int:
-        """Download wanted documents broadcast after *ready_offset*."""
-        doc_bytes = 0
-        last_end = None
-        for doc_id in cycle.doc_ids:
-            if doc_id not in wanted or doc_id in self.received_doc_ids:
-                continue
-            offset = cycle.doc_offsets[doc_id]
-            if offset < ready_offset:
-                continue  # already gone by on the data channel
-            air = cycle.doc_air_bytes[doc_id]
-            doc_bytes += air
-            self.received_doc_ids.add(doc_id)
-            last_end = offset + air
-        if (
-            self.expected_doc_ids is not None
-            and self.received_doc_ids >= self.expected_doc_ids
-            and self.metrics.completion_time is None
-        ):
-            end = cycle.start_time + (last_end if last_end is not None else 0)
-            self.metrics.completion_time = end
-            self.metrics.result_doc_count = len(self.expected_doc_ids)
-        return doc_bytes

@@ -176,14 +176,21 @@ class AccessProtocol(abc.ABC):
                 doc_bytes += air
                 self.received_doc_ids.add(doc_id)
                 last_end = cycle.doc_offsets[doc_id] + air
+        self._check_complete(cycle, last_end)
+        return doc_bytes
+
+    def _check_complete(self, cycle: BroadcastCycle, last_end: Optional[int]) -> None:
+        """Record completion once the expected set is fully received.
+
+        *last_end* is the cycle-relative end of the last document received
+        in this cycle: completing mid-cycle, access time ends when the
+        last needed document finishes, not at the cycle boundary.
+        """
         if (
             self.expected_doc_ids is not None
-            and self.received_doc_ids >= self.expected_doc_ids
             and self.metrics.completion_time is None
+            and self.received_doc_ids >= self.expected_doc_ids
         ):
-            # Completed mid-cycle: access time ends when the last needed
-            # document finishes, not at the cycle boundary.
             end = cycle.start_time + (last_end if last_end is not None else 0)
             self.metrics.completion_time = end
             self.metrics.result_doc_count = len(self.expected_doc_ids)
-        return doc_bytes

@@ -63,13 +63,12 @@ class SimulationConfig:
 
     #: Multi-channel extension: ``None`` keeps the paper's single-channel
     #: program.  An integer K routes cycle assembly through
-    #: :mod:`repro.broadcast.multichannel` with K parallel data channels
-    #: and additionally tracks a single-tuner
-    #: :class:`~repro.client.multichannel.MultiChannelTwoTierClient`
-    #: (protocol name "two-tier-multi").  K=1 is byte-identical to
-    #: ``None`` (differentially tested); K>=2 switches the server to
-    #: acknowledged delivery so conflict-deferred documents stay
-    #: scheduled until actually received.
+    #: :mod:`repro.broadcast.multichannel` with K parallel data channels;
+    #: the single-tuner :class:`~repro.client.twotier.TwoTierClient`
+    #: then reports under protocol name "two-tier-multi".  K=1 is
+    #: byte-identical to ``None`` (differentially tested); K>=2 switches
+    #: the server to acknowledged delivery so conflict-deferred
+    #: documents stay scheduled until actually received.
     num_data_channels: Optional[int] = None
 
     #: How the schedule splits across data channels: "round-robin",
@@ -106,10 +105,8 @@ class SimulationConfig:
     #: Per-packet erasure probability of the error-prone-channel
     #: extension; 0.0 is the paper's reliable channel.  Positive values
     #: switch the simulation to acknowledged delivery with a single
-    #: loss-aware client per query (protocol comparison needs a shared
-    #: reliable schedule, loss degradation does not): the lossy two-tier
-    #: client, or -- with ``num_data_channels`` >= 2 -- the loss-aware
-    #: multi-channel client.
+    #: loss-aware two-tier client per query (protocol comparison needs a
+    #: shared reliable schedule, loss degradation does not).
     loss_prob: float = 0.0
 
     #: Fault-injection extension: a :class:`~repro.faults.plan.FaultPlan`

@@ -13,7 +13,9 @@ class ClientRecord:
     """One completed client session under one protocol."""
 
     query_text: str
-    protocol: str  #: "one-tier", "two-tier" or "naive"
+    #: "one-tier", "two-tier" (or "two-tier-multi" on a multichannel
+    #: program), "two-tier-dual" or "naive"
+    protocol: str
     arrival_time: int
     result_doc_count: int
     cycles_listened: int
@@ -106,8 +108,16 @@ class SimulationResult:
         """The paper's "on average 11.8 broadcast cycles" measure."""
         return _mean([r.cycles_listened for r in self.records_for(protocol)])
 
+    def two_tier_protocol(self) -> str:
+        """The label of this run's two-tier client records.
+
+        A run airs either the single-channel or the multichannel program
+        throughout, so its two-tier records carry one of the two labels.
+        """
+        return "two-tier-multi" if self.records_for("two-tier-multi") else "two-tier"
+
     def mean_result_size(self) -> float:
-        two = self.records_for("two-tier") or self.clients
+        two = self.records_for(self.two_tier_protocol()) or self.clients
         return _mean([r.result_doc_count for r in two])
 
     # Index-size aggregates over cycles ---------------------------------
@@ -134,14 +144,15 @@ class SimulationResult:
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers, keyed for report printing."""
+        two_tier = self.two_tier_protocol()
         return {
             "cycles": len(self.cycles),
             "clients": len({(r.query_text, r.arrival_time) for r in self.clients}),
             "mean_result_docs": self.mean_result_size(),
-            "mean_cycles_listened": self.mean_cycles_listened("two-tier"),
+            "mean_cycles_listened": self.mean_cycles_listened(two_tier),
             "ci_bytes": self.mean_ci_bytes(),
             "pci_bytes": self.mean_pci_bytes(),
             "two_tier_bytes": self.mean_two_tier_bytes(),
             "one_tier_lookup": self.mean_index_lookup_bytes("one-tier"),
-            "two_tier_lookup": self.mean_index_lookup_bytes("two-tier"),
+            "two_tier_lookup": self.mean_index_lookup_bytes(two_tier),
         }

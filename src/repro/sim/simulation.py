@@ -29,9 +29,8 @@ from repro.broadcast.program import BroadcastCycle
 from repro.broadcast.scheduling import make_scheduler
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.broadcast.server import PendingQuery
+from repro.broadcast.loss import LOSSLESS, PacketLossModel
 from repro.client.dualchannel import DualChannelTwoTierClient
-from repro.client.lossy import LossyTwoTierClient
-from repro.client.multichannel import MultiChannelTwoTierClient
 from repro.client.naive import NaiveClient
 from repro.client.onetier import OneTierClient
 from repro.client.protocol import AccessProtocol, FirstTierRead
@@ -126,9 +125,9 @@ class _Session:
     plan: ArrivalPlan
     clients: List[AccessProtocol]
     pending: Optional["PendingQuery"] = None
-    #: the client whose received set drives acknowledged delivery (lossy
-    #: runs: the lossy client; multi-channel runs: the single-tuner
-    #: multi-channel client, so conflict-deferred docs stay scheduled)
+    #: the client whose received set drives acknowledged delivery (the
+    #: two-tier client on lossy or K >= 2 runs, so erased and
+    #: conflict-deferred docs stay scheduled)
     ack_client: Optional[AccessProtocol] = None
 
     @property
@@ -161,12 +160,11 @@ class Simulation:
         self.controller = make_controller(config, self.store)
         #: arrivals deferred by the admission governor, by retry count
         self.shed_deferrals = 0
-        if self.lossy:
-            from repro.broadcast.loss import PacketLossModel
-
-            self._loss_model = PacketLossModel(
-                loss_prob=config.loss_prob, seed=config.query_seed ^ 0xBADF
-            )
+        self._loss_model = (
+            PacketLossModel(loss_prob=config.loss_prob, seed=config.query_seed ^ 0xBADF)
+            if self.lossy
+            else LOSSLESS
+        )
         self.workload = WorkloadBuilder(self.documents, config)
         self.first_tier_read = first_tier_read
         self.sessions: List[_Session] = []
@@ -189,46 +187,31 @@ class Simulation:
 
     def _admit(self, plan: ArrivalPlan) -> None:
         pending = self.server.submit(plan.query, plan.arrival_time)
+        two_tier = TwoTierClient(
+            plan.query,
+            plan.arrival_time,
+            lookup_fn=self._cached_lookup,
+            first_tier_read=self.first_tier_read,
+            loss_model=self._loss_model,
+            client_key=pending.query_id,
+        )
+        # The single tuner decides what was actually received: its acks
+        # keep erased (lossy runs) and conflict-deferred (K >= 2) docs
+        # scheduled.
+        ack_client: Optional[AccessProtocol] = (
+            two_tier if self.lossy or self.multichannel_deferral else None
+        )
         clients: List[AccessProtocol]
-        ack_client: Optional[AccessProtocol] = None
-        if self.lossy and self.multichannel_deferral:
-            # Lossy multi-channel run: the single-tuner client applies the
-            # loss ladder itself, so it both defers conflicts and retries
-            # erased reads; its acks drive rebroadcast for either cause.
-            clients = [
-                MultiChannelTwoTierClient(
-                    plan.query,
-                    plan.arrival_time,
-                    lookup_fn=self._cached_lookup,
-                    loss_model=self._loss_model,
-                    client_key=pending.query_id,
-                )
-            ]
-            ack_client = clients[0]
-        elif self.lossy:
-            # Loss degradation study: one lossy two-tier client per query,
-            # driving acknowledged delivery (see SimulationConfig.loss_prob).
-            clients = [
-                LossyTwoTierClient(
-                    plan.query,
-                    plan.arrival_time,
-                    client_key=pending.query_id,
-                    loss_model=self._loss_model,
-                    lookup_fn=self._cached_lookup,
-                )
-            ]
-            ack_client = clients[0]
+        if self.lossy:
+            # Loss degradation needs no shared reliable schedule: the
+            # two-tier client runs alone (see SimulationConfig.loss_prob).
+            clients = [two_tier]
         else:
             clients = [
                 OneTierClient(
                     plan.query, plan.arrival_time, lookup_fn=self._cached_lookup
                 ),
-                TwoTierClient(
-                    plan.query,
-                    plan.arrival_time,
-                    lookup_fn=self._cached_lookup,
-                    first_tier_read=self.first_tier_read,
-                ),
+                two_tier,
             ]
             if self.config.track_naive_baseline:
                 clients.append(
@@ -246,15 +229,6 @@ class Simulation:
                     and self._current_cycle.end_time > plan.arrival_time
                 ):
                     dual.on_cycle(self._current_cycle)
-            if self.config.num_data_channels is not None or self.config.adaptive:
-                multi = MultiChannelTwoTierClient(
-                    plan.query, plan.arrival_time, lookup_fn=self._cached_lookup
-                )
-                clients.append(multi)
-                if self.multichannel_deferral:
-                    # The single tuner decides what was actually received;
-                    # its acknowledgements keep deferred docs scheduled.
-                    ack_client = multi
         self.sessions.append(
             _Session(
                 plan=plan, clients=clients, pending=pending, ack_client=ack_client

@@ -14,8 +14,7 @@ Hypothesis-driven invariants of ``repro.broadcast.multichannel``:
   exceeds its access time plus the initial probe packet (Eq. 1's
   accounting stays consistent under the extended second tier; the probe
   is charged to tuning but not to elapsed byte-time throughout the
-  client stack -- the seed's ``TwoTierClient`` shows the same slack --
-  so the physically rigorous inequality is ``tuning - probe <=
+  client stack -- single-channel runs show the same slack -- so the physically rigorous inequality is ``tuning - probe <=
   access``).
 """
 
@@ -34,7 +33,7 @@ from repro.broadcast.multichannel import (
 from repro.broadcast.packets import PacketKind
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.broadcast.validate import validate_cycle
-from repro.client.multichannel import MultiChannelTwoTierClient
+from repro.client.twotier import TwoTierClient
 from tests.strategies import document_collections, queries
 
 
@@ -141,7 +140,7 @@ class TestClientProperties:
                 pending = server.submit(query, 0)
             except ValueError:
                 continue
-            clients.append((pending, MultiChannelTwoTierClient(query, 0)))
+            clients.append((pending, TwoTierClient(query, 0)))
         if not clients:
             return
         cycles = 0
@@ -180,7 +179,7 @@ class TestClientProperties:
                 pending = server.submit(query, 0)
             except ValueError:
                 continue
-            clients.append((pending, MultiChannelTwoTierClient(query, 0)))
+            clients.append((pending, TwoTierClient(query, 0)))
         if not clients:
             return
         guard = 0
@@ -202,7 +201,7 @@ class TestClientProperties:
             # offset read and the downloaded documents occupy disjoint
             # byte-time intervals of that cycle, and completion stamps
             # the last document's end.  The probe packet alone is charged
-            # outside elapsed time (same accounting as TwoTierClient).
+            # outside elapsed time (as on a single channel).
             assert (
                 metrics.tuning_bytes - metrics.probe_bytes
                 <= metrics.access_bytes

@@ -1,16 +1,22 @@
-"""Unit tests for the lossy two-tier client's failure behaviours."""
+"""The two-tier client's loss ladder, on one data channel and on two.
+
+Every case runs on the paper's single-channel program (the base classes)
+and again on a K=2 multichannel program (the ``...K2`` subclasses),
+where the single tuner may also defer documents that air while it is
+busy on the other channel.  A single channel never defers, so there a
+healed channel's next rebroadcast always completes the session.
+"""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
 from repro.broadcast.loss import LOSSLESS, PacketLossModel
 from repro.broadcast.server import BroadcastServer, DocumentStore
-from repro.client.lossy import LossyTwoTierClient
 from repro.client.twotier import TwoTierClient
 from repro.index.sizes import PAPER_SIZE_MODEL
+from repro.sim.config import small_setup
+from repro.sim.simulation import run_simulation
 from repro.xpath.parser import parse_query
 
 
@@ -62,18 +68,20 @@ class _CountingLoss(PacketLossModel):
         return False
 
     def span_lost(self, client_key, cycle_number, start_packet, packet_count):
-        self.span_calls.append((start_packet, packet_count))
+        self.span_calls.append((cycle_number, start_packet, packet_count))
         return False
 
 
-def drained_server(capacity=100_000, size_model=PAPER_SIZE_MODEL):
+def drained_server(capacity=100_000, size_model=PAPER_SIZE_MODEL, num_channels=None):
     from tests.xpath.test_evaluator import paper_documents
 
     store = DocumentStore(paper_documents(), size_model=size_model)
-    server = BroadcastServer(
-        store, cycle_data_capacity=capacity, acknowledged_delivery=True
+    return BroadcastServer(
+        store,
+        cycle_data_capacity=capacity,
+        acknowledged_delivery=True,
+        num_data_channels=num_channels,
     )
-    return server
 
 
 #: packets small enough that the paper collection's offset list and
@@ -81,14 +89,43 @@ def drained_server(capacity=100_000, size_model=PAPER_SIZE_MODEL):
 TINY_PACKETS = replace(PAPER_SIZE_MODEL, packet_bytes=24)
 
 
-class TestIndexLoss:
+class _Channels:
+    """One data channel; the ``K2`` subclasses rerun every case on two."""
+
+    #: ``num_data_channels`` of the server under test
+    channels = None
+
+    def server(self, **kwargs):
+        return drained_server(num_channels=self.channels, **kwargs)
+
+    def drain(self, server, pending, client, cycle):
+        """Acknowledge and rebroadcast until *client* is satisfied.
+
+        Returns the cycles it took; a single channel needs at most one.
+        """
+        cycles = 0
+        while not client.satisfied:
+            server.confirm_delivery(pending, client.received_doc_ids, cycle)
+            cycle = server.build_cycle()
+            assert cycle is not None
+            client.on_cycle(cycle)
+            cycles += 1
+            assert cycles < 50
+        if self.channels is None:
+            assert cycles <= 1
+        return cycles
+
+
+class TestIndexLoss(_Channels):
     def test_index_loss_forces_retry(self):
-        server = drained_server()
+        server = self.server()
         query = parse_query("/a//c")
         pending = server.submit(query, 0)
         first = server.build_cycle()
 
-        client = LossyTwoTierClient(query, 0, client_key=1, loss_model=_AlwaysLose(lose_index=True))
+        client = TwoTierClient(
+            query, 0, client_key=1, loss_model=_AlwaysLose(lose_index=True)
+        )
         client.on_cycle(first)
         assert client.expected_doc_ids is None  # read failed
         assert client.index_retries == 1
@@ -103,13 +140,17 @@ class TestIndexLoss:
         assert client.expected_doc_ids == frozenset({1, 2, 3, 4})
 
 
-class TestOffsetLoss:
+class TestIndexLossK2(TestIndexLoss):
+    channels = 2
+
+
+class TestOffsetLoss(_Channels):
     def test_blind_cycle_downloads_nothing(self):
-        server = drained_server()
+        server = self.server()
         query = parse_query("/a//c")
         server.submit(query, 0)
         cycle = server.build_cycle()
-        client = LossyTwoTierClient(
+        client = TwoTierClient(
             query, 0, client_key=1, loss_model=_AlwaysLose(lose_offsets=True)
         )
         client.on_cycle(cycle)
@@ -119,39 +160,52 @@ class TestOffsetLoss:
         assert client.metrics.offset_bytes > 0  # charged for the attempt
 
 
-class TestDocumentLoss:
+class TestOffsetLossK2(TestOffsetLoss):
+    channels = 2
+
+
+class TestDocumentLoss(_Channels):
     def test_lost_documents_charged_but_not_received(self):
-        server = drained_server()
+        server = self.server()
         query = parse_query("/a//c")
-        server.submit(query, 0)
+        pending = server.submit(query, 0)
         cycle = server.build_cycle()
-        client = LossyTwoTierClient(
+        client = TwoTierClient(
             query, 0, client_key=1, loss_model=_AlwaysLose(lose_docs=True)
         )
         client.on_cycle(cycle)
         assert client.expected_doc_ids == frozenset({1, 2, 3, 4})
         assert client.received_doc_ids == set()
-        assert client.metrics.doc_bytes > 0  # listened, frames corrupted
+        # The tuner was committed for every catchable document's full air
+        # time before the corruption surfaced, so the bytes are charged.
+        assert client.metrics.doc_bytes > 0
+
+        # Rebroadcast under a healed channel drains the session.
+        client.loss_model = LOSSLESS
+        self.drain(server, pending, client, cycle)
+        assert client.received_doc_ids == client.expected_doc_ids
 
     def test_span_lost_drawn_once_per_document(self):
         """Regression: a document's frame run is one loss draw, not many."""
-        server = drained_server()
+        server = self.server()
         query = parse_query("/a//c")
-        server.submit(query, 0)
+        pending = server.submit(query, 0)
         cycle = server.build_cycle()
         model = _CountingLoss()
-        client = LossyTwoTierClient(query, 0, client_key=1, loss_model=model)
+        client = TwoTierClient(query, 0, client_key=1, loss_model=model)
         client.on_cycle(cycle)
-        assert client.received_doc_ids == client.expected_doc_ids
+        if self.channels is None:
+            assert client.received_doc_ids == client.expected_doc_ids
+        self.drain(server, pending, client, cycle)
         assert len(model.span_calls) == len(client.expected_doc_ids)
         assert len(set(model.span_calls)) == len(model.span_calls)
 
     def test_lossless_model_equals_reliable_client(self):
-        server = drained_server()
+        server = self.server()
         query = parse_query("/a//c")
         server.submit(query, 0)
         cycle = server.build_cycle()
-        lossy = LossyTwoTierClient(query, 0, client_key=1, loss_model=LOSSLESS)
+        lossy = TwoTierClient(query, 0, client_key=1, loss_model=LOSSLESS)
         reliable = TwoTierClient(query, 0)
         lossy.on_cycle(cycle)
         reliable.on_cycle(cycle)
@@ -159,12 +213,28 @@ class TestDocumentLoss:
         assert lossy.metrics.doc_bytes == reliable.metrics.doc_bytes
         assert lossy.metrics.offset_bytes == reliable.metrics.offset_bytes
 
+    def test_lossless_ladder_counters_stay_zero(self):
+        server = self.server()
+        query = parse_query("/a//c")
+        pending = server.submit(query, 0)
+        client = TwoTierClient(query, 0, loss_model=LOSSLESS)
+        cycle = server.build_cycle()
+        client.on_cycle(cycle)
+        self.drain(server, pending, client, cycle)
+        assert client.index_retries == 0
+        assert client.blind_cycles == 0
+        assert client.received_doc_ids == client.expected_doc_ids
 
-class TestMultiPacketStructures:
+
+class TestDocumentLossK2(TestDocumentLoss):
+    channels = 2
+
+
+class TestMultiPacketStructures(_Channels):
     """Losses inside multi-packet index/offset structures (tiny packets)."""
 
     def test_one_lost_offset_packet_blinds_the_cycle(self):
-        server = drained_server(size_model=TINY_PACKETS)
+        server = self.server(size_model=TINY_PACKETS)
         query = parse_query("/a//c")
         pending = server.submit(query, 0)
         cycle = server.build_cycle()
@@ -172,35 +242,32 @@ class TestMultiPacketStructures:
 
         # Lose only the *last* offset packet; the first arrives fine.
         last = 1_000_000 + cycle.offset_list.packet_count - 1
-        client = LossyTwoTierClient(
-            query, 0, client_key=1, loss_model=_LoseOnly({last})
-        )
+        client = TwoTierClient(query, 0, client_key=1, loss_model=_LoseOnly({last}))
         client.on_cycle(cycle)
         assert client.expected_doc_ids is not None  # index read succeeded
         assert client.blind_cycles == 1
         assert client.received_doc_ids == set()
         assert client.metrics.offset_bytes > 0  # partial list still paid for
 
-        # Healed channel: next cycle's rebroadcast completes the session.
+        # Healed channel: rebroadcast completes the session.
         client.loss_model = LOSSLESS
-        server.confirm_delivery(pending, client.received_doc_ids, cycle)
-        client.on_cycle(server.build_cycle())
+        self.drain(server, pending, client, cycle)
         assert client.received_doc_ids == client.expected_doc_ids
 
     def test_one_lost_packet_of_selective_index_read_forces_retry(self):
-        server = drained_server(size_model=TINY_PACKETS)
+        server = self.server(size_model=TINY_PACKETS)
         query = parse_query("/a//c")
         pending = server.submit(query, 0)
         cycle = server.build_cycle()
 
         # Discover which first-tier packets the selective read touches.
         spy = _LoseOnly()
-        probe_client = LossyTwoTierClient(query, 0, client_key=1, loss_model=spy)
+        probe_client = TwoTierClient(query, 0, client_key=1, loss_model=spy)
         probe_client.on_cycle(cycle)
         needed = {p for p in spy.packet_queries if p < 1_000_000}
         assert len(needed) > 1  # the read really spans several packets
 
-        client = LossyTwoTierClient(
+        client = TwoTierClient(
             query, 0, client_key=1, loss_model=_LoseOnly({max(needed)})
         )
         client.on_cycle(cycle)
@@ -212,6 +279,39 @@ class TestMultiPacketStructures:
         assert client.metrics.offset_bytes == 0
 
         client.loss_model = LOSSLESS
-        server.confirm_delivery(pending, client.received_doc_ids, cycle)
-        client.on_cycle(server.build_cycle())
+        self.drain(server, pending, client, cycle)
         assert client.received_doc_ids == client.expected_doc_ids
+
+
+class TestMultiPacketStructuresK2(TestMultiPacketStructures):
+    channels = 2
+
+
+class TestLossySimulation(_Channels):
+    #: the label the two-tier client's records carry
+    protocol = "two-tier"
+
+    def test_config_accepts_loss_with_channels(self):
+        config = small_setup(num_data_channels=self.channels, loss_prob=0.15)
+        assert config.loss_prob == 0.15  # not rejected
+
+    def test_simulation_drains_under_losses(self, nitf_docs):
+        # Per-packet erasures: whole-document survival decays
+        # exponentially in frame count, so higher rates never drain.
+        config = small_setup(
+            n_q=6,
+            arrival_cycles=2,
+            max_cycles=300,
+            num_data_channels=self.channels,
+            loss_prob=0.002,
+        )
+        result = run_simulation(config, documents=nitf_docs)
+        assert result.completed
+        records = [r for r in result.clients if r.protocol == self.protocol]
+        assert records  # the loss-aware client ran the show
+        assert len(records) == len(result.clients)
+
+
+class TestLossySimulationK2(TestLossySimulation):
+    channels = 2
+    protocol = "two-tier-multi"

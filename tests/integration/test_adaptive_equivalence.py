@@ -24,7 +24,7 @@ import pytest
 
 from repro.broadcast.program import program_signature
 from repro.broadcast.server import BroadcastServer, DocumentStore
-from repro.client.multichannel import MultiChannelTwoTierClient
+from repro.client.twotier import TwoTierClient
 from repro.control import ControlConfig, CyclePlan
 from repro.net import AsyncTwoTierClient, BroadcastDaemon, DaemonConfig
 from repro.sim.config import small_setup
@@ -196,7 +196,7 @@ class TestDeferralAcrossKChange:
         )
         query = parse_query("//nitf")
         pending = server.submit(query, 0)
-        client = MultiChannelTwoTierClient(query, 0)
+        client = TwoTierClient(query, 0)
         for cycle_index in range(20):
             cycle = server.build_cycle()
             if cycle is None:

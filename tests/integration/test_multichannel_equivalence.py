@@ -8,18 +8,24 @@ cover the channel assignment), the channel field elided from the second
 tier, and every client protocol's end-to-end metrics unchanged.  The
 scripted suite pins this per allocation policy and across live
 collection mutation; the Hypothesis suite fuzzes workloads and
-mutations.
+mutations, and runs the two-tier client over both cycle streams under
+every read discipline.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.broadcast.loss import LOSSLESS
 from repro.broadcast.multichannel import ALLOCATION_POLICIES, MultiChannelCycle
 from repro.broadcast.program import program_signature
 from repro.broadcast.server import BroadcastServer, DocumentStore
+from repro.client.protocol import FirstTierRead, OffsetRead
+from repro.client.twotier import TwoTierClient
 from repro.sim.config import small_setup
 from repro.sim.simulation import run_simulation
 from repro.xmlkit.model import XMLDocument, build_element
@@ -54,6 +60,11 @@ def submit_both(single, multi, query_list, arrival_time=0):
 
 
 def assert_cycles_match(single, multi, now=None):
+    """Build one cycle on each server and pin them byte-identical.
+
+    Returns ``(single_cycle, multi_cycle)``, or ``None`` when both
+    servers are idle.
+    """
     cycle_s = single.build_cycle(now)
     cycle_m = multi.build_cycle(now)
     if cycle_s is None or cycle_m is None:
@@ -69,7 +80,30 @@ def assert_cycles_match(single, multi, now=None):
     assert cycle_m.offset_list_air_bytes == cycle_s.offset_list_air_bytes
     assert cycle_m.doc_offsets == cycle_s.doc_offsets
     assert cycle_m.total_bytes == cycle_s.total_bytes
-    return cycle_m
+    return cycle_s, cycle_m
+
+
+#: every read discipline of the two-tier client, on a lossless channel
+#: given explicitly or by default
+CLIENT_VARIANTS = [
+    dict(first_tier_read=first, offset_read=offsets, **loss)
+    for first in FirstTierRead
+    for offsets in OffsetRead
+    for loss in ({}, {"loss_model": LOSSLESS})
+]
+
+
+def twin_clients(single):
+    """One two-tier client per admitted query and variant, for each of
+    the single-channel and K=1 cycle streams."""
+    return [
+        (
+            TwoTierClient(pending.query, 0, **variant),
+            TwoTierClient(pending.query, 0, **variant),
+        )
+        for pending in single.pending
+        for variant in CLIENT_VARIANTS
+    ]
 
 
 class TestScriptedEquivalence:
@@ -139,8 +173,9 @@ class TestScriptedEquivalence:
     @pytest.mark.parametrize("allocation", ALLOCATION_POLICIES)
     def test_simulation_client_metrics_identical(self, allocation):
         """End-to-end: a K=1 multichannel simulation reproduces every
-        protocol's client records, and the multichannel client's records
-        equal the two-tier client's."""
+        protocol's client records; the two-tier client's records there
+        carry the multichannel label and equal the single-channel run's
+        two-tier records."""
         base = dict(document_count=40, n_q=12, cycle_data_capacity=10_000)
         res_single = run_simulation(small_setup(**base))
         res_multi = run_simulation(
@@ -149,14 +184,15 @@ class TestScriptedEquivalence:
             )
         )
         assert res_single.completed and res_multi.completed
-        for protocol in ("one-tier", "two-tier"):
-            assert res_multi.records_for(protocol) == res_single.records_for(
-                protocol
-            )
+        assert res_multi.records_for("one-tier") == res_single.records_for(
+            "one-tier"
+        )
+        assert res_multi.records_for("two-tier") == []
         multi_records = res_multi.records_for("two-tier-multi")
-        twotier_records = res_multi.records_for("two-tier")
+        twotier_records = res_single.records_for("two-tier")
         assert len(multi_records) == len(twotier_records) > 0
         for mine, theirs in zip(multi_records, twotier_records):
+            assert mine == replace(theirs, protocol="two-tier-multi")
             assert mine.access_bytes == theirs.access_bytes
             assert mine.tuning_bytes == theirs.tuning_bytes
             assert mine.index_lookup_bytes == theirs.index_lookup_bytes
@@ -180,11 +216,24 @@ class TestPropertyEquivalence:
         )
         if not submit_both(single, multi, query_list):
             return
+        clients = twin_clients(single)
         guard = 0
         while single.pending or multi.pending:
-            assert assert_cycles_match(single, multi) is not None
+            cycles = assert_cycles_match(single, multi)
+            assert cycles is not None
+            for client_s, client_m in clients:
+                client_s.on_cycle(cycles[0])
+                client_m.on_cycle(cycles[1])
             guard += 1
             assert guard < 200
+        # The same client over the single-channel and the K=1 stream:
+        # identical accounting under every read discipline.
+        for client_s, client_m in clients:
+            assert client_s.satisfied and client_m.satisfied
+            assert client_m.metrics == client_s.metrics
+            assert client_m.received_doc_ids == client_s.received_doc_ids
+            assert client_s.protocol_name == "two-tier"
+            assert client_m.protocol_name == "two-tier-multi"
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -136,7 +136,7 @@ class TestLifecycle:
         async def body(daemon):
             clients = [
                 AsyncTwoTierClient(q, port=daemon.port, arrival_time=0)
-                for q in ("//nitf", "//body", "//head")
+                for q in ("//nitf", "//body", "/nitf/head/title")
             ]
             for c in clients:
                 await c.connect()
@@ -297,3 +297,41 @@ class TestPacing:
         # with a manual clock the elapsed simulated time is *exactly*
         # the on-air byte count over the bandwidth -- cycle 1 included.
         assert elapsed == pytest.approx(on_air / daemon.net.bandwidth)
+
+
+class TestProtocolConstruction:
+    """The async client builds one two-tier protocol for every daemon."""
+
+    @pytest.mark.parametrize(
+        "num_channels, adaptive", [(2, False), (1, True)], ids=["k2", "adaptive"]
+    )
+    def test_first_tier_read_reaches_multichannel_protocol(
+        self, store, nitf_queries, num_channels, adaptive
+    ):
+        from repro.broadcast.server import BroadcastServer
+        from repro.client.protocol import FirstTierRead
+        from repro.xpath.parser import parse_query
+
+        client = AsyncTwoTierClient(
+            "/nitf/head/title", arrival_time=0, first_tier_read=FirstTierRead.FULL
+        )
+        client.num_channels = num_channels
+        client.adaptive = adaptive
+        protocol = client._build_protocol()
+        assert protocol.first_tier_read is FirstTierRead.FULL
+
+        # Other pending queries widen the first tier past one packet.
+        server = BroadcastServer(store, num_data_channels=2)
+        for query in [parse_query("/nitf/head/title")] + list(nitf_queries):
+            try:
+                server.submit(query, 0)
+            except ValueError:
+                continue  # empty result on this slice of the collection
+        cycle = server.build_cycle()
+        protocol.on_cycle(cycle)
+        selective = cycle.index_lookup_bytes(
+            cycle.lookup(parse_query("/nitf/head/title")), cycle.scheme
+        )
+        assert selective < cycle.first_tier_bytes  # FULL is observable
+        assert protocol.metrics.index_bytes == cycle.first_tier_bytes
+        assert protocol.protocol_name == "two-tier-multi"

@@ -117,13 +117,14 @@ class TestDualChannelSimulation:
 class TestMidCycleBoundaryRegression:
     """Arrival exactly at a document's offset boundary.
 
-    ``_download_after`` admits a document iff ``offset >= ready_offset``
-    where ``ready_offset = (arrival - cycle.start) + index_program`` --
-    a document whose first byte airs the instant the client finishes the
-    index read is caught; one byte later and it is gone.  This is the
-    same boundary predicate the multichannel client's cross-channel
-    tune plan reuses (``offset >= free``), so a regression here would
-    silently skew K-channel conflict accounting too.
+    The mid-cycle catch is the two-tier tune plan started with the tuner
+    free at ``ready_offset = (arrival - cycle.start) + index_program``:
+    it admits a document iff ``offset >= ready_offset`` -- a document
+    whose first byte airs the instant the client finishes the index read
+    is caught; one byte later and it is gone.  The same predicate
+    (``offset >= free``) decides cross-channel conflicts, so a
+    regression here would silently skew K-channel conflict accounting
+    too.
     """
 
     def _cycle(self):
@@ -165,12 +166,12 @@ class TestMidCycleBoundaryRegression:
         assert client.caught_mid_cycle == 0
 
     def test_boundary_predicate_matches_multichannel_plan(self):
-        """The two clients agree on the boundary byte: a multichannel
-        plan frees its tuner at exactly ``offset`` and takes the doc."""
-        from repro.client.multichannel import MultiChannelTwoTierClient
+        """The tune plan frees its tuner at exactly ``offset`` and takes
+        the doc."""
+        from repro.client.twotier import TwoTierClient
 
         cycle = self._cycle()
-        client = MultiChannelTwoTierClient(parse_query("/a//c"), 0)
+        client = TwoTierClient(parse_query("/a//c"), 0)
         client.on_cycle(cycle)
         # Single channel, all docs back-to-back: every doc's offset
         # equals the previous doc's end (the 'free' position), so every

@@ -93,6 +93,20 @@ class TestSimulationResult:
         for key in ("cycles", "mean_cycles_listened", "one_tier_lookup"):
             assert key in summary
 
+    def test_summary_reads_multichannel_two_tier_records(self):
+        """On a multichannel program the two-tier client reports as
+        "two-tier-multi"; the headline numbers follow it."""
+        result = SimulationResult(
+            clients=[
+                record("one-tier", lookup=300),
+                record("two-tier-multi", lookup=200, cycles=4),
+            ]
+        )
+        assert result.two_tier_protocol() == "two-tier-multi"
+        summary = result.summary()
+        assert summary["two_tier_lookup"] == 200
+        assert summary["mean_cycles_listened"] == 4
+
     def test_mean_cycles_listened(self):
         result = SimulationResult(
             clients=[record("two-tier", cycles=2), record("two-tier", cycles=4)]
