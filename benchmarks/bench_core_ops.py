@@ -6,8 +6,9 @@ it and encoding it -- plus a client-side lookup.  Useful for regression
 tracking; no paper figure corresponds to them.
 
 Beyond the pytest-benchmark timing rounds, ``test_core_ops_ratchet``
-gates the three rewritten hot kernels (NFA match, CI merge+prune, frame
-encode) against the committed ``baselines/core_ops.json``.  Absolute
+gates the rewritten hot kernels (NFA match, CI merge+prune, CI
+projection+prune, frame encode) against the committed
+``baselines/core_ops.json``.  Absolute
 seconds do not transfer between machines, so each kernel's cost is
 normalised by a fixed pure-Python calibration loop timed on the same
 run: the committed numbers are dimensionless "kernel cost in
@@ -120,7 +121,12 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
 
 
 def _hot_kernels(context, workload):
-    """The three rewritten hot paths as closures over a shared workload."""
+    """The rewritten hot paths as closures over a shared workload.
+
+    ``ci_merge_prune`` is the uncached server's CI (per-document guide
+    merge); ``ci_project_prune`` the cached server's (projection of the
+    store's flat full-collection guide), pruned against the same queries.
+    """
     documents, queries, engine, requested, _ci, _pci = workload
     store = context.store
     server = make_server(context.base_config(), store)
@@ -132,10 +138,14 @@ def _hot_kernels(context, workload):
     cycle = server.build_cycle()
     assert cycle is not None
     encode_cycle(cycle, store)  # warm the serialized-document cache
+    flat = store.flat_guide  # built once per collection, outside the timing
     return {
         "nfa_match": lambda: engine.filter_collection(documents),
         "ci_merge_prune": lambda: prune_to_pci(
             build_ci_from_store(store, requested), queries
+        ),
+        "ci_project_prune": lambda: prune_to_pci(
+            flat.project(requested, store.size_model), queries
         ),
         "frame_encode": lambda: encode_cycle(cycle, store),
     }

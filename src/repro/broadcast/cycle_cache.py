@@ -1,4 +1,4 @@
-"""Incremental cycle-build caches for the broadcast server.
+"""Cycle-build caches for the broadcast server.
 
 Consecutive on-demand broadcast cycles overlap heavily: most pending
 queries survive from one cycle to the next, so the requested document
@@ -9,12 +9,12 @@ compiling a fresh pruning DFA, and re-pruning an unchanged index.
 
 :class:`CycleBuildCache` removes that repeated work with three layers:
 
-* **CI cache** -- the last cycle's combined guide is kept and the *delta*
-  of requested doc ids is applied through the incremental RoXSum
-  machinery (:func:`~repro.dataguide.roxsum.add_document_to_guide` /
-  :func:`~repro.dataguide.roxsum.remove_document_from_guide`).  When the
-  delta exceeds ``rebuild_threshold`` (as a fraction of the new request
-  set) a full re-merge is cheaper and is used instead.
+* **CI layer** -- an unchanged requested set reuses last cycle's CI
+  outright.  Any other set is *projected* from the store's flat
+  full-collection guide (:class:`~repro.index.ci.FlatGuide`): every
+  requested-document CI is a sub-trie of that guide, so one pass linear
+  in the CI's size replaces merging per-document guides and converting
+  the merged trie.
 * **Pruning-DFA cache** -- an LRU of :class:`~repro.filtering.dfa.LazyQueryDFA`
   instances keyed by the frozen pending-query-string set, wired through
   ``prune_to_pci``'s ``dfa`` parameter so memoised subset-construction
@@ -23,28 +23,32 @@ compiling a fresh pruning DFA, and re-pruning an unchanged index.
   unchanged, the previous cycle's pruned index (and its stats) are
   reused outright.
 
-Every layer is observable (``server.*_cache_*`` counters plus spans) and
+Every layer is observable (``server.*_cache_*`` counters) and
 falsifiable: the caches are bypassed entirely with the server's
-``enable_caches=False`` / the CLI's ``--no-cache``, and property tests
-assert cached and from-scratch cycle programs are byte-identical.
+``enable_caches=False`` / the CLI's ``--no-cache``, whose per-document
+merge (:func:`~repro.broadcast.server.build_ci_from_store`) is the
+independent oracle property tests hold the cached cycle programs to,
+byte for byte.
 
 The cache assumes the underlying collection is frozen between explicit
 mutations: ``BroadcastServer.add_document`` / ``remove_document`` call
 :meth:`CycleBuildCache.invalidate_collection`, which drops every layer
-(a removed document's per-document guide is no longer available for
-incremental unmerge, and any cached index may reference dead documents).
+(any cached index may miss new paths or reference dead documents); the
+store itself drops its flat guide on the same mutations.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.dataguide.roxsum import (
-    CombinedDataGuide,
+
+# Not called here: perfbench/layers.py patches these two names on this
+# module by name (its ``dataguide.guide_delta`` span), so they stay
+# importable from it.
+from repro.dataguide.roxsum import (  # noqa: F401
     add_document_to_guide,
-    build_combined_guide,
     remove_document_from_guide,
 )
 from repro.filtering.dfa import LazyQueryDFA
@@ -73,20 +77,10 @@ def query_key_of(queries: Sequence[XPathQuery]) -> QueryKey:
 class CycleBuildCache:
     """Carries reusable cycle-build state from one broadcast cycle to the next."""
 
-    def __init__(
-        self,
-        store: "DocumentStore",
-        rebuild_threshold: float = 0.5,
-        dfa_cache_size: int = 16,
-    ) -> None:
-        if not 0.0 <= rebuild_threshold <= 1.0:
-            raise ValueError("rebuild_threshold must be in [0, 1]")
+    def __init__(self, store: "DocumentStore", dfa_cache_size: int = 16) -> None:
         if dfa_cache_size < 1:
             raise ValueError("dfa_cache_size must be positive")
         self.store = store
-        #: incremental CI maintenance is abandoned for a full re-merge when
-        #: ``|added| + |removed| > rebuild_threshold * |requested|``
-        self.rebuild_threshold = rebuild_threshold
         self.dfa_cache_size = dfa_cache_size
 
         #: memoised ``str(query)`` -- XPathQuery is frozen/hashable and the
@@ -95,7 +89,6 @@ class CycleBuildCache:
         self._query_strings: Dict[XPathQuery, str] = {}
         # CI layer
         self._ci_requested: Optional[FrozenSet[int]] = None
-        self._ci_guide: Optional[CombinedDataGuide] = None
         self._ci_index: Optional[CompactIndex] = None
         # DFA layer (LRU, most-recently-used last)
         self._dfas: "OrderedDict[QueryKey, LazyQueryDFA]" = OrderedDict()
@@ -108,7 +101,6 @@ class CycleBuildCache:
         #: assert cache behaviour without enabling a registry
         self.stats: Dict[str, int] = {
             "ci_hits": 0,
-            "ci_incremental": 0,
             "ci_rebuilds": 0,
             "dfa_hits": 0,
             "dfa_misses": 0,
@@ -125,14 +117,12 @@ class CycleBuildCache:
         """Drop every layer after a live collection mutation.
 
         Adding a document can extend paths any cached index would miss;
-        removing one strands annotations *and* takes the per-document
-        guide needed for incremental unmerge out of the store.  The DFA
-        layer only depends on query strings, but its entries are dropped
-        too: they are cheap to rebuild and a stale collection's label
-        alphabet no longer drives their memoisation anyway.
+        removing one strands annotations.  The DFA layer only depends on
+        query strings, but its entries are dropped too: they are cheap to
+        rebuild and a stale collection's label alphabet no longer drives
+        their memoisation anyway.
         """
         self._ci_requested = None
-        self._ci_guide = None
         self._ci_index = None
         self._pci_key = None
         self._pci = None
@@ -145,55 +135,18 @@ class CycleBuildCache:
     # ------------------------------------------------------------------
 
     def ci_for(self, requested: FrozenSet[int]) -> CompactIndex:
-        """The CI over *requested*, reusing last cycle's guide when possible."""
+        """The CI over *requested*: last cycle's on an exact hit, else a
+        projection of the store's flat full-collection guide."""
         if not requested:
             raise ValueError("no requested documents -- nothing to index")
         if self._ci_index is not None and requested == self._ci_requested:
             self._count("ci_hits", "server.ci_cache_hits_total")
             return self._ci_index
-
-        guide = self._incremental_guide(requested)
-        if guide is None:
-            with obs.span("server.ci_full_merge"):
-                ordered = sorted(requested)
-                guide = build_combined_guide(
-                    [self.store.by_id[doc_id] for doc_id in ordered],
-                    [self.store.guides[doc_id] for doc_id in ordered],
-                )
-            self._count("ci_rebuilds", "server.ci_cache_rebuilds_total")
-        else:
-            self._count("ci_incremental", "server.ci_cache_incremental_total")
-
-        index = CompactIndex.from_guide(guide, size_model=self.store.size_model)
+        index = self.store.flat_guide.project(requested, self.store.size_model)
+        self._count("ci_rebuilds", "server.ci_cache_rebuilds_total")
         self._ci_requested = requested
-        self._ci_guide = guide
         self._ci_index = index
         return index
-
-    def _incremental_guide(
-        self, requested: FrozenSet[int]
-    ) -> Optional[CombinedDataGuide]:
-        """Apply the request-set delta to the cached guide; ``None`` when a
-        full rebuild is the better (or only) option."""
-        cached_set, guide = self._ci_requested, self._ci_guide
-        if cached_set is None or guide is None:
-            return None
-        added = requested - cached_set
-        removed = cached_set - requested
-        if len(added) + len(removed) > self.rebuild_threshold * len(requested):
-            return None
-        with obs.span("server.ci_incremental_apply"):
-            # Additions first: the guide then always covers ``requested``,
-            # so removals can never empty it mid-way.
-            for doc_id in sorted(added):
-                guide = add_document_to_guide(
-                    guide, self.store.by_id[doc_id], self.store.guides[doc_id]
-                )
-            for doc_id in sorted(removed):
-                guide = remove_document_from_guide(
-                    guide, self.store.by_id[doc_id], self.store.guides[doc_id]
-                )
-        return guide
 
     # ------------------------------------------------------------------
     # DFA layer

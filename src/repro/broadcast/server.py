@@ -50,7 +50,7 @@ from repro.broadcast.scheduling import DemandTable, LeeLoScheduler, Scheduler
 from repro.dataguide.dataguide import DataGuide, build_dataguide
 from repro.dataguide.roxsum import CombinedDataGuide, build_combined_guide
 from repro.filtering.nfa import SharedPathNFA
-from repro.index.ci import CompactIndex
+from repro.index.ci import CompactIndex, FlatGuide
 from repro.index.packing import PackingStrategy
 from repro.index.pruning import PruningStats, prune_to_pci
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
@@ -66,7 +66,9 @@ class DocumentStore:
 
     Per-document DataGuides, on-air sizes and the full-collection combined
     guide are immutable once built, so they are cached here and shared by
-    the server, the experiments and the per-document baseline.
+    the server, the experiments and the per-document baseline.  The
+    combined guide's flat form (:attr:`flat_guide`), which every cached
+    cycle's CI is projected from, is built on first use.
     """
 
     def __init__(
@@ -93,6 +95,7 @@ class DocumentStore:
         self.full_guide: CombinedDataGuide = build_combined_guide(
             self.documents, [self.guides[d.doc_id] for d in self.documents]
         )
+        self._flat_guide: Optional[FlatGuide] = None
         #: lazily filled ``doc_id -> serialized XML bytes``; documents are
         #: immutable once in the store, so a document re-broadcast every
         #: cycle serialises once, not once per cycle
@@ -100,6 +103,14 @@ class DocumentStore:
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    @property
+    def flat_guide(self) -> FlatGuide:
+        """:attr:`full_guide` flattened for per-cycle CI projection (lazy;
+        dropped by every collection mutation)."""
+        if self._flat_guide is None:
+            self._flat_guide = FlatGuide(self.full_guide)
+        return self._flat_guide
 
     def air_bytes(self, doc_id: int) -> int:
         """On-air footprint of a document (packet aligned, with header)."""
@@ -123,7 +134,8 @@ class DocumentStore:
         """Add a document to the live collection.
 
         All caches (per-document guide, air size, full combined guide)
-        update incrementally -- no rebuild.
+        update incrementally -- no rebuild; the flat guide is rebuilt on
+        next use.
         """
         if document.doc_id in self.by_id:
             raise ValueError(f"doc id {document.doc_id} already in the store")
@@ -131,6 +143,7 @@ class DocumentStore:
 
         guide = build_dataguide(document)
         self.full_guide = add_document_to_guide(self.full_guide, document, guide)
+        self._flat_guide = None
         self.documents.append(document)
         self.by_id[document.doc_id] = document
         self.guides[document.doc_id] = guide
@@ -150,6 +163,7 @@ class DocumentStore:
         self.full_guide = remove_document_from_guide(
             self.full_guide, document, self.guides[doc_id]
         )
+        self._flat_guide = None
         self.documents = [doc for doc in self.documents if doc.doc_id != doc_id]
         del self.by_id[doc_id]
         del self.guides[doc_id]
@@ -315,11 +329,11 @@ class BroadcastServer:
         #: demanded are force-scheduled every cycle and pinned to data
         #: channel 0; empty (the default) leaves scheduling untouched.
         self.hot_doc_ids: Tuple[int, ...] = ()
-        #: Incremental cycle-build caches (CI delta maintenance, pruning-DFA
-        #: LRU, PCI reuse) plus demand-table reads by the scheduler.  With
-        #: ``enable_caches=False`` (the CLI's ``--no-cache``) every cycle is
-        #: built from scratch; cycle programs are byte-identical either way
-        #: (property-tested).
+        #: Cycle-build caches (CI projection from the store's flat guide,
+        #: pruning-DFA LRU, PCI reuse) plus demand-table reads by the
+        #: scheduler.  With ``enable_caches=False`` (the CLI's
+        #: ``--no-cache``) every cycle is built from scratch; cycle programs
+        #: are byte-identical either way (property-tested).
         self.cache: Optional[CycleBuildCache] = (
             CycleBuildCache(store) if enable_caches else None
         )

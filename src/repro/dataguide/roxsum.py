@@ -35,8 +35,8 @@ class CombinedGuideNode:
     know when a node has become structurally dead.
 
     Slotted: combined guides allocate one node per distinct label path
-    and the cycle cache churns through them on every incremental merge,
-    so per-node ``__dict__`` overhead is worth eliding.
+    and the uncached server merges a fresh guide every cycle, so per-node
+    ``__dict__`` overhead is worth eliding.
     """
 
     label: str

@@ -15,6 +15,10 @@ Two builders cover the paper's two uses:
   the server actually broadcasts in on-demand mode ("if a document is
   never requested, it will not be broadcast", Section 3.2) and what the
   CI curves of Figure 9 measure.
+
+The server's per-cycle CI is the second kind, built without merging:
+:meth:`FlatGuide.project` cuts it out of the whole collection's combined
+guide, flattened once into preorder arrays.
 """
 
 from __future__ import annotations
@@ -118,47 +122,24 @@ class CompactIndex:
         cls,
         guide: CombinedDataGuide,
         size_model: SizeModel = PAPER_SIZE_MODEL,
-        doc_filter: Optional[FrozenSet[int]] = None,
     ) -> "CompactIndex":
-        """Materialise a combined guide as an index tree.
-
-        *doc_filter*, when given, restricts document annotations (and cuts
-        nodes whose whole subtree loses every annotation -- paths only
-        present in never-requested documents are not broadcast).
-        """
-        root = cls._convert(guide.root, doc_filter)
-        if root is None:
-            # Every annotation was filtered away; keep a bare root so the
-            # broadcast program still has an (empty) index to send.
-            root = IndexNode(0, guide.root.label)
+        """Materialise a combined guide as an index tree."""
         # Correct by construction: sorted unique child labels, sorted doc
         # ids, fresh parent links -- skip the validation walk.
         return cls(
-            root,
+            cls._convert(guide.root),
             size_model=size_model,
             virtual_root=guide.virtual_root,
             validate=False,
         )
 
     @staticmethod
-    def _convert(
-        guide_node: CombinedGuideNode, doc_filter: Optional[FrozenSet[int]]
-    ) -> Optional[IndexNode]:
-        docs = sorted(
-            guide_node.leaf_docs
-            if doc_filter is None
-            else guide_node.leaf_docs & doc_filter
+    def _convert(guide_node: CombinedGuideNode) -> IndexNode:
+        node = IndexNode(
+            0, guide_node.label, doc_ids=tuple(sorted(guide_node.leaf_docs))
         )
-        children: List[IndexNode] = []
         for label in sorted(guide_node.children):
-            converted = CompactIndex._convert(guide_node.children[label], doc_filter)
-            if converted is not None:
-                children.append(converted)
-        if not docs and not children:
-            return None
-        node = IndexNode(0, guide_node.label, doc_ids=tuple(docs))
-        for child in children:
-            node.add_child(child)
+            node.add_child(CompactIndex._convert(guide_node.children[label]))
         return node
 
     # ------------------------------------------------------------------
@@ -308,6 +289,124 @@ class CompactIndex:
             doc_ids=tuple(sorted(doc_ids)),
             matched_node_ids=frozenset(matched),
             visited_node_ids=frozenset(visited),
+        )
+
+
+class FlatGuide:
+    """A combined DataGuide flattened into preorder arrays for projection.
+
+    Every on-demand CI is a sub-trie of the whole collection's combined
+    guide: the paths of the requested documents, annotated with those
+    documents only.  Flattening the full guide once lets each cycle's CI
+    be *projected* out of it in time linear in the CI, with no per-
+    document guide merging.
+
+    Positions are preorder with children sorted by label -- exactly the
+    order :meth:`CompactIndex.from_guide` emits nodes in.  Per position:
+
+    * ``labels`` -- the element label;
+    * ``parents`` -- the parent position (``-1`` at the root);
+    * ``ends`` -- one past the last position of the subtree.
+
+    ``doc_positions`` maps each document to the positions of its maximal
+    paths (the guide's ``leaf_docs``, transposed).
+    """
+
+    __slots__ = ("labels", "parents", "ends", "doc_positions", "virtual_root")
+
+    def __init__(self, guide: CombinedDataGuide) -> None:
+        labels: List[str] = []
+        parents: List[int] = []
+        doc_positions: Dict[int, List[int]] = {}
+        stack: List[Tuple[CombinedGuideNode, int]] = [(guide.root, -1)]
+        while stack:
+            node, parent = stack.pop()
+            position = len(labels)
+            labels.append(node.label)
+            parents.append(parent)
+            for doc_id in node.leaf_docs:
+                doc_positions.setdefault(doc_id, []).append(position)
+            children = node.children
+            for label in sorted(children, reverse=True):
+                stack.append((children[label], position))
+        sizes = [1] * len(labels)
+        for position in range(len(labels) - 1, 0, -1):
+            sizes[parents[position]] += sizes[position]
+        self.labels = labels
+        self.parents = parents
+        self.ends = [position + size for position, size in enumerate(sizes)]
+        self.doc_positions: Dict[int, Tuple[int, ...]] = {
+            doc_id: tuple(positions) for doc_id, positions in doc_positions.items()
+        }
+        self.virtual_root = guide.virtual_root
+
+    def project(
+        self,
+        requested_doc_ids: Iterable[int],
+        size_model: SizeModel = PAPER_SIZE_MODEL,
+    ) -> CompactIndex:
+        """The CI over *requested_doc_ids*: equal, node for node, to
+        :meth:`CompactIndex.from_guide` over the requested documents'
+        combined guide."""
+        # 1. Annotate each requested document's maximal paths; ascending
+        #    ids keep every position's doc tuple sorted.
+        doc_positions = self.doc_positions
+        docs_at: Dict[int, List[int]] = {}
+        for doc_id in sorted(requested_doc_ids):
+            for position in doc_positions[doc_id]:
+                bucket = docs_at.get(position)
+                if bucket is None:
+                    docs_at[position] = [doc_id]
+                else:
+                    bucket.append(doc_id)
+        if not docs_at:
+            raise ValueError("no requested documents -- nothing to index")
+
+        # 2. A position is live when some requested document contains its
+        #    path, i.e. it is an ancestor-or-self of an annotated position.
+        #    Each walk stops at the first already-live ancestor.
+        parents = self.parents
+        live = bytearray(len(parents))
+        for position in docs_at:
+            while position >= 0 and not live[position]:
+                live[position] = 1
+                position = parents[position]
+
+        # 3. With a virtual root, a subset whose documents share one root
+        #    label is rooted at that label instead (as build_combined_guide
+        #    roots a single-label subset).
+        ends = self.ends
+        start, stop, virtual_root = 0, len(parents), self.virtual_root
+        if virtual_root:
+            live_roots = []
+            position = 1
+            while position < stop:
+                if live[position]:
+                    live_roots.append(position)
+                position = ends[position]
+            if len(live_roots) == 1:
+                start, virtual_root = live_roots[0], False
+                stop = ends[start]
+
+        # 4. Emit live positions in preorder, skipping dead subtrees whole.
+        labels = self.labels
+        emitted: Dict[int, IndexNode] = {}
+        position = start
+        while position < stop:
+            if not live[position]:
+                position = ends[position]
+                continue
+            docs = docs_at.get(position)
+            node = IndexNode(0, labels[position], doc_ids=tuple(docs) if docs else ())
+            if position != start:
+                emitted[parents[position]].add_child(node)
+            emitted[position] = node
+            position += 1
+        return CompactIndex(
+            emitted[start],
+            size_model=size_model,
+            virtual_root=virtual_root,
+            validate=False,
         )
 
 

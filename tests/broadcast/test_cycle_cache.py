@@ -1,13 +1,18 @@
-"""Unit tests for the incremental cycle-build caches."""
+"""Unit tests for the cycle-build caches."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast.cycle_cache import CycleBuildCache, query_key_of
 from repro.broadcast.program import _index_tree_form
-from repro.broadcast.server import DocumentStore, build_ci_from_store
+from repro.broadcast.server import BroadcastServer, DocumentStore, build_ci_from_store
+from repro.index.nodes import validate_tree
+from repro.xmlkit.model import XMLDocument, build_element
 from repro.xpath.parser import parse_query
+from tests.strategies import document_collections, xml_elements
 
 
 def paper_store() -> DocumentStore:
@@ -21,13 +26,6 @@ def ci_form(ci):
 
 
 class TestConstruction:
-    def test_threshold_range_validated(self):
-        store = paper_store()
-        with pytest.raises(ValueError):
-            CycleBuildCache(store, rebuild_threshold=-0.1)
-        with pytest.raises(ValueError):
-            CycleBuildCache(store, rebuild_threshold=1.5)
-
     def test_dfa_cache_size_validated(self):
         with pytest.raises(ValueError):
             CycleBuildCache(paper_store(), dfa_cache_size=0)
@@ -53,8 +51,8 @@ class TestCILayer:
         cache = CycleBuildCache(store)
         cache.ci_for(frozenset({0, 1, 2, 3, 4}))
         shrunk = cache.ci_for(frozenset({0, 1, 2, 3}))
-        assert cache.stats["ci_incremental"] == 1
-        assert cache.stats["ci_rebuilds"] == 1  # only the cold build
+        assert cache.stats["ci_rebuilds"] == 2
+        assert cache.stats["ci_hits"] == 0
         assert ci_form(shrunk) == ci_form(build_ci_from_store(store, {0, 1, 2, 3}))
 
     def test_growing_delta_applied_incrementally(self):
@@ -62,17 +60,15 @@ class TestCILayer:
         cache = CycleBuildCache(store)
         cache.ci_for(frozenset({0, 1, 2, 3}))
         grown = cache.ci_for(frozenset({0, 1, 2, 3, 4}))
-        assert cache.stats["ci_incremental"] == 1
+        assert cache.stats["ci_rebuilds"] == 2
         assert ci_form(grown) == ci_form(build_ci_from_store(store, {0, 1, 2, 3, 4}))
 
-    def test_large_delta_triggers_rebuild(self):
+    def test_disjoint_successor_matches_scratch(self):
         store = paper_store()
-        cache = CycleBuildCache(store, rebuild_threshold=0.5)
+        cache = CycleBuildCache(store)
         cache.ci_for(frozenset({0, 1, 2, 3}))
-        # Delta: 1 addition + 4 removals = 5 > 0.5 * 1 -> full re-merge.
         rebuilt = cache.ci_for(frozenset({4}))
         assert cache.stats["ci_rebuilds"] == 2
-        assert cache.stats["ci_incremental"] == 0
         assert ci_form(rebuilt) == ci_form(build_ci_from_store(store, {4}))
 
     def test_empty_request_rejected(self):
@@ -90,6 +86,72 @@ class TestCILayer:
             assert ci_form(cached) == ci_form(
                 build_ci_from_store(store, requested)
             ), requested
+
+
+class TestProjection:
+    """The cached CI is projected from the store's flat full-collection
+    guide; the uncached server's per-document merge is its oracle."""
+
+    @staticmethod
+    def mixed_root_store() -> DocumentStore:
+        return DocumentStore(
+            [
+                XMLDocument(0, build_element("a", build_element("b"))),
+                XMLDocument(1, build_element("x", build_element("y"))),
+                XMLDocument(2, build_element("a", build_element("c"))),
+            ]
+        )
+
+    def test_virtual_root_collapses_for_single_requested_root(self):
+        store = self.mixed_root_store()
+        assert store.full_guide.virtual_root
+        ci = CycleBuildCache(store).ci_for(frozenset({0, 2}))
+        assert not ci.virtual_root
+        assert ci.root.label == "a" and ci.root.parent is None
+        assert [node.label for node in ci.nodes] == ["a", "b", "c"]
+        assert ci_form(ci) == ci_form(build_ci_from_store(store, {0, 2}))
+
+    def test_virtual_root_kept_for_mixed_requested_roots(self):
+        store = self.mixed_root_store()
+        ci = CycleBuildCache(store).ci_for(frozenset({1, 2}))
+        assert ci.virtual_root
+        assert [node.label for node in ci.root.children] == ["a", "x"]
+        assert ci_form(ci) == ci_form(build_ci_from_store(store, {1, 2}))
+
+    def test_flat_guide_dropped_by_mutation(self):
+        server = BroadcastServer(self.mixed_root_store())
+        flat = server.store.flat_guide
+        assert server.store.flat_guide is flat
+        server.remove_document(1)
+        assert server.store.flat_guide is not flat
+        ci = server.cache.ci_for(frozenset({0, 2}))
+        assert not server.store.full_guide.virtual_root
+        assert ci_form(ci) == ci_form(build_ci_from_store(server.store, {0, 2}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(document_collections(min_docs=1, max_docs=6), st.data())
+    def test_projection_matches_per_document_merge(self, docs, data):
+        server = BroadcastServer(DocumentStore(docs))
+        next_id = len(docs)
+        for _ in range(data.draw(st.integers(1, 6), label="cycles")):
+            action = data.draw(st.sampled_from(["cycle", "add", "remove"]))
+            if action == "add":
+                server.add_document(XMLDocument(next_id, data.draw(xml_elements())))
+                next_id += 1
+            elif action == "remove" and len(server.store) > 1:
+                doc_ids = sorted(server.store.by_id)
+                server.remove_document(data.draw(st.sampled_from(doc_ids)))
+            doc_ids = sorted(server.store.by_id)
+            requested = frozenset(
+                data.draw(
+                    st.lists(st.sampled_from(doc_ids), min_size=1, unique=True),
+                    label="requested",
+                )
+            )
+            projected = server.cache.ci_for(requested)
+            validate_tree(projected.root)
+            expected = build_ci_from_store(server.store, requested)
+            assert ci_form(projected) == ci_form(expected)
 
 
 class TestDFALayer:

@@ -58,7 +58,7 @@ class TestScriptedEquivalence:
             cycles += 1
             assert cycles < 500
         assert cycles >= 20  # a real steady-state drain, not a one-shot
-        assert cached.cache.stats["ci_incremental"] > 0
+        assert cached.cache.stats["ci_rebuilds"] > 0
         assert cached.cache.stats["dfa_hits"] > 0
 
     def test_equivalence_across_collection_mutation(self):
