@@ -7,8 +7,8 @@ tracking; no paper figure corresponds to them.
 
 Beyond the pytest-benchmark timing rounds, ``test_core_ops_ratchet``
 gates the rewritten hot kernels (NFA match, CI merge+prune, CI
-projection+prune, frame encode) against the committed
-``baselines/core_ops.json``.  Absolute
+projection+prune, frame encode, acknowledged-delivery ACK drain)
+against the committed ``baselines/core_ops.json``.  Absolute
 seconds do not transfer between machines, so each kernel's cost is
 normalised by a fixed pure-Python calibration loop timed on the same
 run: the committed numbers are dimensionless "kernel cost in
@@ -29,7 +29,7 @@ import pytest
 
 from conftest import RESULTS_DIR, bench_scale
 
-from repro.broadcast.server import build_ci_from_store
+from repro.broadcast.server import BroadcastServer, build_ci_from_store
 from repro.filtering.yfilter import YFilterEngine
 from repro.index.encoding import LabelTable, encode_index
 from repro.index.packing import pack_index
@@ -120,12 +120,35 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
+def _acked_server(store, queries):
+    """An acknowledged-delivery server holding every query twice (a few
+    hundred pending) after one aired cycle, ready to be drained."""
+    server = BroadcastServer(store, acknowledged_delivery=True)
+    for query in queries * 2:
+        try:
+            server.submit(query, arrival_time=0)
+        except ValueError:
+            continue
+    cycle = server.build_cycle()
+    assert cycle is not None
+    return server, cycle
+
+
+def _ack_drain(server, cycle):
+    """Confirm every pending query's full result set, one ACK each."""
+    for pending in list(server.pending):
+        server.confirm_delivery(pending, pending.result_doc_ids, cycle)
+    assert not server.pending
+
+
 def _hot_kernels(context, workload):
     """The rewritten hot paths as closures over a shared workload.
 
     ``ci_merge_prune`` is the uncached server's CI (per-document guide
     merge); ``ci_project_prune`` the cached server's (projection of the
     store's flat full-collection guide), pruned against the same queries.
+    ``ack_drain`` drains a fresh server per repeat (a drain consumes its
+    pending queries), so the servers are built before the timing.
     """
     documents, queries, engine, requested, _ci, _pci = workload
     store = context.store
@@ -139,6 +162,7 @@ def _hot_kernels(context, workload):
     assert cycle is not None
     encode_cycle(cycle, store)  # warm the serialized-document cache
     flat = store.flat_guide  # built once per collection, outside the timing
+    acked = [_acked_server(store, queries) for _ in range(REPEATS)]
     return {
         "nfa_match": lambda: engine.filter_collection(documents),
         "ci_merge_prune": lambda: prune_to_pci(
@@ -148,6 +172,7 @@ def _hot_kernels(context, workload):
             flat.project(requested, store.size_model), queries
         ),
         "frame_encode": lambda: encode_cycle(cycle, store),
+        "ack_drain": lambda: _ack_drain(*acked.pop()),
     }
 
 

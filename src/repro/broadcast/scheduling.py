@@ -33,6 +33,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -124,6 +125,24 @@ class DemandTable:
     def snapshot(self, now: int) -> Dict[int, List["PendingQuery"]]:
         """The eligible view as a dict (equivalence testing and debugging)."""
         return dict(self.items_for(now))
+
+    def query_id_sets(self, now: int) -> Dict[int, FrozenSet[int]]:
+        """``doc id -> frozenset of eligible query ids`` at *now*.
+
+        The same view as :meth:`items_for` with each query list reduced
+        to its ids.  On the fast path the inner dicts are already keyed
+        by query id, so no query list is copied.
+        """
+        if now >= self._max_arrival:
+            return {
+                doc_id: frozenset(queries)
+                for doc_id, queries in self._by_doc.items()
+                if queries
+            }
+        return {
+            doc_id: frozenset(q.query_id for q in queries)
+            for doc_id, queries in self.items_for(now)
+        }
 
 
 class Scheduler(abc.ABC):

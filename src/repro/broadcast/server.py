@@ -907,25 +907,38 @@ class BroadcastServer:
         Documents that left the collection since admission stay dropped
         (resetting from ``result_doc_ids`` must not resurrect a document
         ``remove_document`` already gave up on).
+
+        An ACK costs only the query it acknowledges: no other query's
+        remaining set changes, so only this one can complete.  A stale
+        ACK for a query that already completed is ignored -- it must not
+        put a finished query back into the demand table.
         """
         if not self.acknowledged_delivery:
             raise RuntimeError(
                 "confirm_delivery requires acknowledged_delivery=True"
             )
-        before_set = set(pending.remaining_doc_ids)
-        pending.remaining_doc_ids = {
+        before = pending.remaining_doc_ids
+        if not before:
+            return
+        after = {
             doc_id
-            for doc_id in pending.result_doc_ids
-            if doc_id not in received_doc_ids and doc_id in self.store.by_id
+            for doc_id in pending.result_doc_ids - received_doc_ids
+            if doc_id in self.store.by_id
         }
-        for doc_id in before_set - pending.remaining_doc_ids:
+        pending.remaining_doc_ids = after
+        for doc_id in before - after:
             self.demand.discard(doc_id, pending)
-        for doc_id in pending.remaining_doc_ids - before_set:
+        for doc_id in after - before:
             self.demand.add_entry(doc_id, pending)
-        if before_set and not pending.remaining_doc_ids:
+        if not after:
             pending.satisfied_cycle = cycle.cycle_number
             pending.satisfied_time = cycle.end_time
-        self._reap_satisfied()
+            self.completed.append(pending)
+            # By identity: list.remove would compare dataclass fields.
+            for index, queued in enumerate(self.pending):
+                if queued is pending:
+                    del self.pending[index]
+                    break
 
     def _reap_satisfied(self) -> None:
         newly_done = [q for q in self.pending if q.is_satisfied]

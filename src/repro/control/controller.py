@@ -103,10 +103,7 @@ class Observation:
         """
         now = cycle.end_time
         active = server.active_pending(now)
-        demand_sets = {
-            doc_id: frozenset(q.query_id for q in queries_for)
-            for doc_id, queries_for in server.demand.items_for(now)
-        }
+        demand_sets = server.demand.query_id_sets(now)
         backlog = sum(server.store.air_bytes(doc_id) for doc_id in demand_sets)
         waits = [now - q.arrival_time for q in active]
         spans = tuple(getattr(cycle, "channel_spans", ()) or (cycle.data_bytes,))
@@ -124,6 +121,17 @@ class Observation:
             degraded=cycle.degraded is not None,
             demand_sets=demand_sets,
         )
+
+
+def _demand_by_query(
+    schedule: Tuple[int, ...], demand_sets: Mapping[int, FrozenSet[int]]
+) -> Dict[int, List[int]]:
+    """Query id -> the documents of *schedule* it is still missing."""
+    by_query: Dict[int, List[int]] = {}
+    for doc_id in schedule:
+        for query_id in demand_sets.get(doc_id, ()):
+            by_query.setdefault(query_id, []).append(doc_id)
+    return by_query
 
 
 class AdaptiveController:
@@ -257,6 +265,7 @@ class AdaptiveController:
         schedule: Tuple[int, ...],
         policy: str,
         demand_sets: Mapping[int, FrozenSet[int]],
+        by_query: Mapping[int, List[int]],
     ) -> int:
         """Counterfactual access cost of airing *schedule* under *policy*.
 
@@ -270,6 +279,10 @@ class AdaptiveController:
         population: a perfectly even packing that splits result sets
         across channels loses to a slightly taller one that co-locates
         them.
+
+        *by_query* (query id -> its scheduled documents, see
+        :func:`_demand_by_query`) does not depend on *policy*, so it is
+        built once per observation, not once per policy.
         """
         queues = allocate_channels(
             schedule, self.store, self.num_channels, policy, demand_sets
@@ -283,16 +296,9 @@ class AdaptiveController:
                 intervals[doc_id] = (offset, end)
                 offset = end
             span = max(span, offset)
-        by_query: Dict[int, List[int]] = {}
-        for doc_id, query_ids in demand_sets.items():
-            if doc_id in intervals:
-                for query_id in query_ids:
-                    by_query.setdefault(query_id, []).append(doc_id)
         total = 0
-        for query_id in sorted(by_query):
-            remaining = sorted(
-                by_query[query_id], key=lambda doc_id: intervals[doc_id]
-            )
+        for doc_ids in by_query.values():
+            remaining = sorted(doc_ids, key=lambda doc_id: intervals[doc_id])
             passes = 0
             finish = 0
             while remaining:
@@ -315,9 +321,11 @@ class AdaptiveController:
             self._policy_regret_streak = 0
             self._regret_candidate = None
             return
+        schedule = observation.scheduled_doc_ids
+        by_query = _demand_by_query(schedule, observation.demand_sets)
         costs: Dict[str, int] = {
             policy: self._allocation_cost(
-                observation.scheduled_doc_ids, policy, observation.demand_sets
+                schedule, policy, observation.demand_sets, by_query
             )
             for policy in ALLOCATION_POLICIES
         }

@@ -156,3 +156,28 @@ class TestServerMaintenance:
         assert pending.remaining_doc_ids == {0}  # doc 1 stays gone
         server.confirm_delivery(pending, received_doc_ids={0}, cycle=cycle)
         assert pending.is_satisfied
+
+    def test_stale_ack_does_not_resurrect_completed_query(self):
+        """Regression: an ACK for a query that already completed is a
+        no-op -- it must not reset the remaining set, stamp a new
+        satisfaction or put demand edges back for a finished query."""
+        server = BroadcastServer(
+            paper_store(), cycle_data_capacity=10**6, acknowledged_delivery=True
+        )
+        done = server.submit(parse_query("/a/b/a"), 0)  # d1, d2 -> {0, 1}
+        live = server.submit(parse_query("/a/b"), 0)
+        cycle = server.build_cycle()
+        server.confirm_delivery(done, received_doc_ids={0, 1}, cycle=cycle)
+        assert done.is_satisfied
+        assert server.completed == [done]
+        stamped = (done.satisfied_cycle, done.satisfied_time)
+        later = server.build_cycle()
+        assert later is not None
+        server.confirm_delivery(done, received_doc_ids={0}, cycle=later)
+        assert done.remaining_doc_ids == set()
+        assert (done.satisfied_cycle, done.satisfied_time) == stamped
+        assert server.pending == [live]
+        assert server.completed == [done]
+        snapshot = server.demand.snapshot(server.clock)
+        assert all(done not in queries for queries in snapshot.values())
+        assert set(snapshot) == set(live.remaining_doc_ids)

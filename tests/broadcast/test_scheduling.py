@@ -260,6 +260,21 @@ class TestDemandTable:
         # Discarding absent edges is a no-op, not an error.
         table.discard(99, queries[0])
 
+    @pytest.mark.parametrize("now", [10, 50], ids=["future-arrival", "all-arrived"])
+    def test_query_id_sets_match_items_for(self, now):
+        queries = self._queries()
+        table = DemandTable()
+        for q in queries:
+            table.add_query(q)
+        table.discard(1, queries[0])
+        expected = {
+            doc_id: frozenset(q.query_id for q in queries_for)
+            for doc_id, queries_for in table.items_for(now)
+        }
+        id_sets = table.query_id_sets(now)
+        assert list(id_sets.items()) == list(expected.items())  # order too
+        assert (3 in id_sets) == (now >= 50)
+
     def test_rank_with_table_matches_rank_without(self):
         store = tiny_store()
         queries = [pending(0, 0, {0, 1}), pending(1, 2, {1, 2}), pending(2, 4, {3})]

@@ -7,12 +7,15 @@ server runs in ``tests/integration/test_adaptive_equivalence.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import random
+from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.broadcast.multichannel import ALLOCATION_POLICIES, allocate_channels
 from repro.broadcast.server import DocumentStore
 from repro.control import AdaptiveController, ControlConfig, Observation
+from repro.control.controller import _demand_by_query
 
 
 @pytest.fixture(scope="module")
@@ -127,12 +130,52 @@ class TestKController:
         assert controller.num_channels == 2
 
 
+def _rescan_cost(controller, schedule, policy, demand_sets) -> int:
+    """Reference single-tuner access cost: rescans every demanded
+    document for each policy, in ascending query-id order."""
+    queues = allocate_channels(
+        schedule, controller.store, controller.num_channels, policy, demand_sets
+    )
+    intervals: Dict[int, Tuple[int, int]] = {}
+    span = 0
+    for queue in queues:
+        offset = 0
+        for doc_id in queue:
+            end = offset + controller.store.air_bytes(doc_id)
+            intervals[doc_id] = (offset, end)
+            offset = end
+        span = max(span, offset)
+    by_query: Dict[int, List[int]] = {}
+    for doc_id, query_ids in demand_sets.items():
+        if doc_id in intervals:
+            for query_id in query_ids:
+                by_query.setdefault(query_id, []).append(doc_id)
+    total = 0
+    for query_id in sorted(by_query):
+        remaining = sorted(by_query[query_id], key=lambda d: intervals[d])
+        passes = finish = 0
+        while remaining:
+            clock = 0
+            deferred: List[int] = []
+            for doc_id in remaining:
+                start, end = intervals[doc_id]
+                if start >= clock:
+                    clock = end
+                else:
+                    deferred.append(doc_id)
+            finish = passes * span + clock
+            passes += 1
+            remaining = deferred
+        total += finish
+    return total
+
+
 class _ScriptedCosts(AdaptiveController):
     """Override the counterfactual replay with scripted outcomes."""
 
     script: Dict[str, int] = {}
 
-    def _allocation_cost(self, schedule, policy, demand_sets):
+    def _allocation_cost(self, schedule, policy, demand_sets, by_query):
         return self.script[policy]
 
 
@@ -197,11 +240,16 @@ class TestPolicyRegret:
         schedule = (doc_a, doc_b, doc_c)
         # demand affinity co-locates query 1's documents on one channel:
         # the tuner reads them back to back.
-        colocated = controller._allocation_cost(schedule, "demand", demand)
+        by_query = _demand_by_query(schedule, demand)
+        colocated = controller._allocation_cost(
+            schedule, "demand", demand, by_query
+        )
         assert colocated == air_a + air_b
         # round-robin lands them at offset 0 of two channels: the single
         # tuner downloads one, defers the other a full cycle span.
-        split = controller._allocation_cost(schedule, "round-robin", demand)
+        split = controller._allocation_cost(
+            schedule, "round-robin", demand, by_query
+        )
         assert split > colocated
         span = air_a + store.air_bytes(doc_c)  # channel 0 carries a + c
         assert split == span + max(air_a, air_b)
@@ -211,7 +259,34 @@ class TestPolicyRegret:
         controller = make_controller(store, base_channels=2)
         schedule = tuple(sorted(store.by_id))[:4]
         for policy in ("round-robin", "balanced", "demand"):
-            assert controller._allocation_cost(schedule, policy, {}) == 0
+            assert controller._allocation_cost(schedule, policy, {}, {}) == 0
+
+    @pytest.mark.parametrize("hot", [False, True], ids=["cold", "hot-plan"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_precomputed_by_query_matches_rescan(self, store, k, hot):
+        """Pricing every policy from one per-observation ``by_query``
+        gives exactly the cost of rescanning every demanded document."""
+        control = ControlConfig(
+            hot_set_size=2 if hot else 0, hot_min_queries=1, k_min=k, k_max=k
+        )
+        rng = random.Random(k * 2 + hot)
+        doc_ids = sorted(store.by_id)
+        for _ in range(10):
+            controller = make_controller(store, control, base_channels=k)
+            schedule = tuple(rng.sample(doc_ids, rng.randint(2, len(doc_ids))))
+            demand = {
+                doc_id: frozenset(rng.sample(range(30), rng.randint(1, 6)))
+                for doc_id in rng.sample(doc_ids, rng.randint(1, len(doc_ids)))
+            }
+            controller.observe(
+                observation(0, k=k, scheduled=schedule, demand=demand)
+            )
+            assert bool(controller.hot_doc_ids) == hot
+            by_query = _demand_by_query(schedule, demand)
+            for policy in ALLOCATION_POLICIES:
+                assert controller._allocation_cost(
+                    schedule, policy, demand, by_query
+                ) == _rescan_cost(controller, schedule, policy, demand)
 
 
 class TestHotSet:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.broadcast.program import program_signature
+from repro.broadcast.scheduling import _demand_table
 from repro.broadcast.server import BroadcastServer, DocumentStore
 from repro.faults import ChaosSimulation, FaultPlan, default_fault_plan, sample_fault_plan
 from repro.sim.config import IndexScheme, SimulationConfig, small_setup
@@ -155,8 +156,11 @@ class ServerChaosMachine(RuleBasedStateMachine):
     """Random keyed submits, builds, confirms and mutations on one server.
 
     Invariants after every step: a pending query's remaining set stays
-    inside its admission-time result set *and* the live collection, and a
-    keyed duplicate always resolves to the already-admitted object.
+    inside its admission-time result set *and* the live collection, a
+    keyed duplicate always resolves to the already-admitted object, the
+    incremental demand table matches a rebuild over the active queries,
+    and ``pending``/``completed`` are disjoint with every completed query
+    satisfied (a stale ACK for a completed query changes nothing).
     """
 
     QUERIES = ("/a//c", "/a/b", "//c", "/a", "//b")
@@ -199,6 +203,16 @@ class ServerChaosMachine(RuleBasedStateMachine):
         received = data.draw(st.sets(st.sampled_from(sorted(pending.result_doc_ids))))
         self.server.confirm_delivery(pending, received, self.last_cycle)
 
+    @precondition(lambda self: self.server.completed and hasattr(self, "last_cycle"))
+    @rule(data=st.data())
+    def stale_ack(self, data):
+        done = data.draw(st.sampled_from(self.server.completed))
+        received = data.draw(st.sets(st.sampled_from(sorted(done.result_doc_ids))))
+        stamped = (done.satisfied_cycle, done.satisfied_time)
+        self.server.confirm_delivery(done, received, self.last_cycle)
+        assert done.is_satisfied
+        assert (done.satisfied_cycle, done.satisfied_time) == stamped
+
     @precondition(lambda self: len(self.server.store.documents) > 1)
     @rule(data=st.data())
     def remove_doc(self, data):
@@ -219,6 +233,23 @@ class ServerChaosMachine(RuleBasedStateMachine):
             assert pending.remaining_doc_ids <= pending.result_doc_ids
             assert pending.remaining_doc_ids <= store_ids
             assert not pending.is_satisfied  # satisfied queries are reaped
+
+    @invariant()
+    def demand_table_matches_rebuild(self):
+        def ids(table):
+            return {
+                doc_id: {q.query_id for q in queries}
+                for doc_id, queries in table.items()
+            }
+
+        rebuilt = _demand_table(self.server.active_pending(self.clock))
+        assert ids(self.server.demand.snapshot(self.clock)) == ids(rebuilt)
+
+    @invariant()
+    def pending_and_completed_disjoint(self):
+        pending_ids = {id(q) for q in self.server.pending}
+        assert not any(id(q) in pending_ids for q in self.server.completed)
+        assert all(q.is_satisfied for q in self.server.completed)
 
 
 TestServerChaosMachine = ServerChaosMachine.TestCase
