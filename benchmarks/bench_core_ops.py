@@ -7,8 +7,8 @@ tracking; no paper figure corresponds to them.
 
 Beyond the pytest-benchmark timing rounds, ``test_core_ops_ratchet``
 gates the rewritten hot kernels (NFA match, CI merge+prune, CI
-projection+prune, frame encode, acknowledged-delivery ACK drain)
-against the committed ``baselines/core_ops.json``.  Absolute
+projection+prune, frame encode, acknowledged-delivery ACK drain,
+client index lookup) against the committed ``baselines/core_ops.json``.  Absolute
 seconds do not transfer between machines, so each kernel's cost is
 normalised by a fixed pure-Python calibration loop timed on the same
 run: the committed numbers are dimensionless "kernel cost in
@@ -141,6 +141,30 @@ def _ack_drain(server, cycle):
     assert not server.pending
 
 
+def _consecutive_pcis(store, config, queries, cycles: int = 3):
+    """The PCIs of *cycles* consecutive cycles of a server holding every
+    bench query (each cycle's PCI prunes against what is still pending)."""
+    server = make_server(config, store)
+    for query in queries:
+        try:
+            server.submit(query, arrival_time=0)
+        except ValueError:
+            continue
+    pcis = []
+    for _ in range(cycles):
+        cycle = server.build_cycle()
+        assert cycle is not None
+        pcis.append(cycle.pci)
+    return pcis
+
+
+def _lookup_all(pcis, queries):
+    """Every query's client index search on every PCI."""
+    for pci in pcis:
+        for query in queries:
+            pci.lookup(query)
+
+
 def _hot_kernels(context, workload):
     """The rewritten hot paths as closures over a shared workload.
 
@@ -149,6 +173,8 @@ def _hot_kernels(context, workload):
     store's flat full-collection guide), pruned against the same queries.
     ``ack_drain`` drains a fresh server per repeat (a drain consumes its
     pending queries), so the servers are built before the timing.
+    ``client_lookup`` looks every bench query up on the PCIs of three
+    consecutive cycles, as one-tier clients repeat their search.
     """
     documents, queries, engine, requested, _ci, _pci = workload
     store = context.store
@@ -163,6 +189,7 @@ def _hot_kernels(context, workload):
     encode_cycle(cycle, store)  # warm the serialized-document cache
     flat = store.flat_guide  # built once per collection, outside the timing
     acked = [_acked_server(store, queries) for _ in range(REPEATS)]
+    pcis = _consecutive_pcis(store, context.base_config(), queries)
     return {
         "nfa_match": lambda: engine.filter_collection(documents),
         "ci_merge_prune": lambda: prune_to_pci(
@@ -173,6 +200,7 @@ def _hot_kernels(context, workload):
         ),
         "frame_encode": lambda: encode_cycle(cycle, store),
         "ack_drain": lambda: _ack_drain(*acked.pop()),
+        "client_lookup": lambda: _lookup_all(pcis, queries),
     }
 
 

@@ -13,7 +13,7 @@ al., TODS 2003]; this package rebuilds its core:
   its distinct label paths (equivalent, and differential-tested);
 * :mod:`repro.filtering.dfa` -- a lazily determinised DFA over the NFA,
   used by index pruning (paper Section 3.2 builds "a DFA ... based on the
-  set of queries Q").
+  set of queries Q") and by the client's index search.
 """
 
 from repro.filtering.events import Event, EventKind, document_events

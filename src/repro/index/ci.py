@@ -25,13 +25,25 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.dataguide.roxsum import (
     CombinedDataGuide,
     CombinedGuideNode,
     build_combined_guide,
 )
+from repro.filtering.dfa import LazyQueryDFA, query_dfa
 from repro.filtering.nfa import SharedPathNFA
 from repro.index.nodes import IndexNode, assign_preorder_ids, validate_tree
 from repro.index.sizes import SizeModel, PAPER_SIZE_MODEL
@@ -68,6 +80,9 @@ class LookupResult:
 #:   set; a lookup reads the matched nodes *only* (no subtree walk).  Used
 #:   by the alternative pruning mode for the annotation-scheme ablation.
 AnnotationScheme = str
+
+#: ``(labels, parents, ends, annotations)`` of an index in preorder.
+_PreorderArrays = Tuple[List[str], List[int], List[int], List[Tuple[int, ...]]]
 
 
 class CompactIndex:
@@ -112,6 +127,7 @@ class CompactIndex:
         # the remaining whole-tree forms instead of re-walking per cycle.
         self._node_sizes: Dict[bool, array] = {}
         self._tree_form: Optional[Tuple] = None
+        self._preorder: Optional[_PreorderArrays] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -240,56 +256,110 @@ class CompactIndex:
 
     def lookup(self, query: XPathQuery) -> LookupResult:
         """Simulate the client's index search for one query."""
-        nfa = SharedPathNFA()
-        nfa.add_query(0, query)
-        nfa.freeze()
-        return self.lookup_with_nfa(nfa)
+        return self.lookup_with_nfa(query_dfa(query))
 
-    def lookup_with_nfa(self, nfa: SharedPathNFA) -> LookupResult:
-        """Index search with a pre-built (single- or multi-query) NFA.
+    def lookup_with_nfa(
+        self, automaton: Union[LazyQueryDFA, SharedPathNFA]
+    ) -> LookupResult:
+        """Index search with a (single- or multi-query) automaton.
 
         Matches are nodes whose configuration accepts *any* registered
         query, so the server can also use this to locate the result set of
-        a whole workload in one pass.
+        a whole workload in one pass.  A bare :class:`SharedPathNFA` is
+        wrapped in a fresh :class:`LazyQueryDFA`.
+
+        One pass over the flat preorder arrays: each position's state is
+        its parent's stepped on its label, and a dead position's subtree
+        is skipped whole (the client does not descend there).  Under the
+        maximal layout a match reads its whole subtree -- document
+        annotations may sit anywhere below it -- so a match nested inside
+        an already collected subtree is recorded but not collected again.
         """
+        dfa = (
+            automaton
+            if isinstance(automaton, LazyQueryDFA)
+            else LazyQueryDFA(automaton)
+        )
+        labels, parents, ends, annotations = self._preorder_arrays()
+        rows = dfa.rows
+        accepting = dfa.accepting
+        step = dfa.step
+        count = len(labels)
+        # One state slot per position plus a trailing start slot, which the
+        # root's parent index -1 reads.
+        states = [0] * count
+        states.append(dfa.start)
         visited: Set[int] = set()
         matched: Set[int] = set()
-        initial = nfa.initial_states()
-        # (node, configuration) walk; the virtual root does not consume a
-        # query step because it is not a document element.
-        if self.virtual_root:
-            visited.add(self.root.node_id)
-            stack = [
-                (child, nfa.move(initial, child.label)) for child in self.root.children
-            ]
-        else:
-            stack = [(self.root, nfa.move(initial, self.root.label))]
-        while stack:
-            node, configuration = stack.pop()
-            if not configuration:
-                continue  # dead branch: the client does not descend here
-            visited.add(node.node_id)
-            if nfa.is_accepting(configuration):
-                matched.add(node.node_id)
-            for child in node.children:
-                stack.append((child, nfa.move(configuration, child.label)))
-
         doc_ids: Set[int] = set()
-        if self.annotation == "containment":
-            # Containment layout: the matched nodes carry their full result
-            # sets; no subtree walk is needed (or charged).
-            for node_id in matched:
-                doc_ids.update(self.nodes[node_id].doc_ids)
-        else:
-            for node_id in matched:
-                for sub in self.nodes[node_id].iter_preorder():
-                    visited.add(sub.node_id)
-                    doc_ids.update(sub.doc_ids)
+        visit = visited.add
+        match = matched.add
+        collect_subtrees = self.annotation == "maximal"
+        collected_end = 0  # one past the last position already collected
+        position = 0
+        if self.virtual_root:
+            # The virtual root is not a document element: it consumes no
+            # query step, and the client always reads it.
+            visit(0)
+            states[0] = dfa.start
+            position = 1
+        while position < count:
+            parent_state = states[parents[position]]
+            label = labels[position]
+            state = rows[parent_state].get(label)
+            if state is None:
+                state = step(parent_state, label)
+            if not state:
+                position = ends[position]
+                continue
+            states[position] = state
+            if accepting[state]:
+                match(position)
+                if not collect_subtrees:
+                    # Containment layout: the matched node carries its full
+                    # result set; no subtree walk is needed (or charged).
+                    visit(position)
+                    doc_ids.update(annotations[position])
+                elif position >= collected_end:
+                    collected_end = ends[position]
+                    visited.update(range(position, collected_end))
+                    doc_ids.update(
+                        chain.from_iterable(annotations[position:collected_end])
+                    )
+            elif position >= collected_end:
+                visit(position)
+            position += 1
         return LookupResult(
             doc_ids=tuple(sorted(doc_ids)),
             matched_node_ids=frozenset(matched),
             visited_node_ids=frozenset(visited),
         )
+
+    def _preorder_arrays(self) -> _PreorderArrays:
+        """Per-position ``labels``, ``parents`` (``-1`` at the root),
+        subtree ``ends`` and doc-id ``annotations``, built on the first
+        lookup and cached: the server never searches its own index, so
+        building one pays nothing."""
+        arrays = self._preorder
+        if arrays is None:
+            nodes = self.nodes
+            labels = [node.label for node in nodes]
+            parents = [-1] * len(nodes)
+            for node in nodes:
+                for child in node.children:
+                    parents[child.node_id] = node.node_id
+            annotations = [node.doc_ids for node in nodes]
+            arrays = (labels, parents, _subtree_ends(parents), annotations)
+            self._preorder = arrays
+        return arrays
+
+
+def _subtree_ends(parents: List[int]) -> List[int]:
+    """One past the last position of each subtree, from preorder parents."""
+    sizes = [1] * len(parents)
+    for position in range(len(parents) - 1, 0, -1):
+        sizes[parents[position]] += sizes[position]
+    return [position + size for position, size in enumerate(sizes)]
 
 
 class FlatGuide:
@@ -329,12 +399,9 @@ class FlatGuide:
             children = node.children
             for label in sorted(children, reverse=True):
                 stack.append((children[label], position))
-        sizes = [1] * len(labels)
-        for position in range(len(labels) - 1, 0, -1):
-            sizes[parents[position]] += sizes[position]
         self.labels = labels
         self.parents = parents
-        self.ends = [position + size for position, size in enumerate(sizes)]
+        self.ends = _subtree_ends(parents)
         self.doc_positions: Dict[int, Tuple[int, ...]] = {
             doc_id: tuple(positions) for doc_id, positions in doc_positions.items()
         }

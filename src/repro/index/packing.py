@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.index.ci import CompactIndex
@@ -48,6 +48,12 @@ class PackedIndex:
     node_order: Tuple[int, ...]
     packet_of_node: Dict[int, Tuple[int, ...]]
     used_bytes: int
+    #: tuning bytes per visited-node frozenset: every client of a cycle
+    #: whose query shares one lookup result is charged from one count,
+    #: and the memo lives exactly as long as this cycle's packing
+    _tuning_memo: Dict[FrozenSet[int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def total_bytes(self) -> int:
@@ -68,7 +74,13 @@ class PackedIndex:
 
     def tuning_bytes_for_nodes(self, node_ids: Iterable[int]) -> int:
         """Tuning time (bytes) to read the packets covering *node_ids*."""
-        return len(self.packets_for_nodes(node_ids)) * self.packet_bytes
+        if not isinstance(node_ids, frozenset):
+            return len(self.packets_for_nodes(node_ids)) * self.packet_bytes
+        tuning = self._tuning_memo.get(node_ids)
+        if tuning is None:
+            tuning = len(self.packets_for_nodes(node_ids)) * self.packet_bytes
+            self._tuning_memo[node_ids] = tuning
+        return tuning
 
 
 def _node_order(index: CompactIndex, strategy: PackingStrategy) -> Tuple[int, ...]:

@@ -8,6 +8,7 @@ query when it contains at least one such element (paper Section 2.1).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Set, Tuple, Union
 
@@ -109,7 +110,9 @@ class XPathQuery:
     """An ordered sequence of location steps.
 
     Instances are hashable so they can key result-set dictionaries at the
-    broadcast server.
+    broadcast server.  The rendered text is computed once per instance
+    (the simulator keys its per-cycle lookup cache by it); equality,
+    hashing and the pickled state cover ``steps`` only.
     """
 
     steps: Tuple[Step, ...]
@@ -147,8 +150,17 @@ class XPathQuery:
             return self
         return XPathQuery.from_steps(step.without_predicates() for step in self.steps)
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
         return "".join(str(step) for step in self.steps)
+
+    def __str__(self) -> str:
+        return self._text
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_text", None)
+        return state
 
     # ------------------------------------------------------------------
     # Direct matching

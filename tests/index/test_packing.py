@@ -50,6 +50,19 @@ class TestGreedyDFS:
         assert touched == frozenset(packed.packet_of_node[0])
         assert packed.tuning_bytes_for_nodes([0]) == len(touched) * 128
 
+    def test_tuning_bytes_memoised_per_visited_set(self):
+        """A frozenset visited set (a lookup result's) is charged once per
+        packing; equal sets hit the memo, other iterables bypass it."""
+        index = paper_index()
+        packed = pack_index(index, one_tier=True)
+        visited = frozenset(range(index.node_count))
+        expected = len(packed.packets_for_nodes(visited)) * packed.packet_bytes
+        assert packed.tuning_bytes_for_nodes(visited) == expected
+        assert packed.tuning_bytes_for_nodes(frozenset(visited)) == expected
+        assert packed.tuning_bytes_for_nodes(sorted(visited)) == expected
+        assert list(packed._tuning_memo.values()) == [expected]
+        assert not pack_index(index, one_tier=True)._tuning_memo
+
     def test_first_tier_needs_fewer_packets(self):
         index = paper_index()
         one = pack_index(index, one_tier=True)

@@ -54,6 +54,20 @@ class TestQueryBasics:
         assert parse_query("/a/b") == parse_query("/a/b")
         assert len({parse_query("/a/b"), parse_query("/a/b")}) == 1
 
+    def test_cached_text_leaves_identity_and_pickle_alone(self):
+        """The memoised ``str`` is not state: rendering it changes neither
+        equality, hashing nor the pickled bytes."""
+        import pickle
+
+        query, fresh = parse_query("/a//b/*"), parse_query("/a//b/*")
+        before = pickle.dumps(query)
+        assert str(query) == "/a//b/*"
+        assert str(query) is str(query)  # computed once
+        assert pickle.dumps(query) == before
+        assert query == fresh and hash(query) == hash(fresh)
+        restored = pickle.loads(before)
+        assert restored == query and str(restored) == "/a//b/*"
+
 
 class TestMatchesPath:
     """Semantics against the paper's running example (Figure 2)."""
